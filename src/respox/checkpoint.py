@@ -91,44 +91,42 @@ def save_checkpoint(
             fh.write(blob)
 
 
-def read_manifest(path) -> dict:
-    """Parse and validate just the JSON manifest of a checkpoint file."""
-    with open(path, "rb") as fh:
-        head = fh.read(8)
-        if len(head) < 8 or head[:4] != MAGIC:
-            raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-        (header_len,) = struct.unpack("<I", head[4:8])
-        header = fh.read(header_len)
-    if len(header) != header_len:
-        raise CheckpointError(f"{path}: truncated manifest ({len(header)} of {header_len} bytes)")
+def _parse_manifest(path, head: bytes) -> tuple[dict, int]:
+    """Validate the magic, length, JSON and keys of the manifest at the start of head.
+
+    Returns the manifest and the offset where the float section starts.
+    """
+    if len(head) < 8 or head[:4] != MAGIC:
+        raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
+    (header_len,) = struct.unpack("<I", head[4:8])
+    data_start = 8 + header_len
+    if len(head) < data_start:
+        raise CheckpointError(f"{path}: truncated manifest ({len(head) - 8} of {header_len} bytes)")
     try:
-        manifest = json.loads(header.decode("utf-8"))
+        manifest = json.loads(head[8:data_start].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: manifest is not valid JSON ({exc})") from exc
     for key in ("config", "tensors", "meta"):
         if key not in manifest:
             raise CheckpointError(f"{path}: manifest missing {key!r}")
-    return manifest
+    return manifest, data_start
+
+
+def read_manifest(path) -> dict:
+    """Parse and validate just the JSON manifest of a checkpoint file."""
+    with open(path, "rb") as fh:
+        head = fh.read(8)
+        if len(head) == 8 and head[:4] == MAGIC:
+            head += fh.read(struct.unpack("<I", head[4:8])[0])
+    return _parse_manifest(path, head)[0]
 
 
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
         raw = fh.read()
-    if len(raw) < 8 or raw[:4] != MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-    (header_len,) = struct.unpack("<I", raw[4:8])
-    data_start = 8 + header_len
-    if len(raw) < data_start:
-        raise CheckpointError(f"{path}: truncated manifest ({len(raw) - 8} of {header_len} bytes)")
-    try:
-        manifest = json.loads(raw[8:data_start].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: manifest is not valid JSON ({exc})") from exc
-    for key in ("config", "tensors", "meta"):
-        if key not in manifest:
-            raise CheckpointError(f"{path}: manifest missing {key!r}")
+    manifest, data_start = _parse_manifest(path, raw)
 
-    data = raw[data_start:]
+    data = memoryview(raw)[data_start:]  # a view: the float section is not copied twice
     expected = 0
     for entry in manifest["tensors"]:
         size = int(np.prod(entry["shape"], dtype=np.int64)) if entry["shape"] else 1

@@ -274,8 +274,7 @@ def gatemap(ckpt, config_path, data_dir, n_heads, mode, out):
 @click.option("--group-by", type=str, default=None, help="Add grouped distribution stats for this variable.")
 @click.option("--dump", "dump_dir", type=click.Path(file_okay=False), help="Write per-night TSV dumps here.")
 @click.option("--report", "report_path", required=True, type=click.Path(dir_okay=False))
-@click.option("--jobs", type=int, default=1, help="Parallel per-record workers.")
-def eval_cmd(ckpt, config_path, data_dir, gate_map_path, split, group_by, dump_dir, report_path, jobs):
+def eval_cmd(ckpt, config_path, data_dir, gate_map_path, split, group_by, dump_dir, report_path):
     """Score a checkpoint on a dataset and write the JSON report."""
     try:
         cfg = _load_config(config_path)
@@ -294,6 +293,10 @@ def eval_cmd(ckpt, config_path, data_dir, gate_map_path, split, group_by, dump_d
             if gate_map_path is None:
                 raise ConfigError("gated checkpoint requires --gate-map")
             gate_map = load_gate_map(gate_map_path)
+            if gate_map.n_heads != checkpoint.config.n_heads:
+                raise ConfigError(
+                    f"gate map has {gate_map.n_heads} heads, checkpoint has {checkpoint.config.n_heads}"
+                )
         records = _load_records(data_dir, cfg, cfg.eval.split)
     except (ConfigError, CheckpointError, GateError, RecordError) as exc:
         _fail(EXIT_USAGE, str(exc))
@@ -308,9 +311,8 @@ def eval_cmd(ckpt, config_path, data_dir, gate_map_path, split, group_by, dump_d
             config_hash=checkpoint.meta.get("config_hash"),
             checkpoint_id=os.path.basename(ckpt),
             group_var=cfg.eval.group_var,
-            jobs=jobs,
         )
-    except (EvalError, model_mod.LengthError) as exc:
+    except (EvalError, GateError, model_mod.GateRangeError, model_mod.LengthError) as exc:
         _fail(EXIT_FAILURE, f"evaluation failed: {exc}")
 
     payload = report.to_dict()
@@ -322,15 +324,8 @@ def eval_cmd(ckpt, config_path, data_dir, gate_map_path, split, group_by, dump_d
 
     if dump_dir:
         os.makedirs(dump_dir, exist_ok=True)
-        for record in records:
-            dump_predictions(
-                checkpoint.params,
-                checkpoint.config,
-                record,
-                os.path.join(dump_dir, f"{record.subject_id}.tsv"),
-                gate_map,
-                normalize=cfg.data.normalize,
-            )
+        for record, y_hat, gate_series in report.nights:
+            dump_predictions(record, y_hat, gate_series, os.path.join(dump_dir, f"{record.subject_id}.tsv"))
         click.echo(f"dumped {len(records)} nights to {dump_dir}")
 
     table = report.by_night if cfg.eval.aggregation == "night" else report.by_segment

@@ -22,8 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import QUANTUM_S
+
 MAGIC = b"RSP1"
-QUANTUM_S = 24
 STAGE_AWAKE, STAGE_REM, STAGE_NONREM, STAGE_MISSING = 0, 1, 2, 255
 NORM_VAR_FLOOR = 1e-8
 
@@ -84,10 +85,13 @@ class Record:
             raise LengthMismatchError(
                 f"{self.subject_id}: stages length {len(self.stages)} != fo*T = {self.fo * t}"
             )
-        if self.spo2.size and (np.min(self.spo2) < 0.0 or np.max(self.spo2) > 100.0):
+        # written so that NaN, which fails every comparison, is out of range
+        if self.spo2.size and not (np.min(self.spo2) >= 0.0 and np.max(self.spo2) <= 100.0):
             raise ValueRangeError(
                 f"{self.subject_id}: spo2 outside [0, 100] (range [{np.min(self.spo2)}, {np.max(self.spo2)}])"
             )
+        if not np.isfinite(self.breathing).all():
+            raise ValueRangeError(f"{self.subject_id}: breathing holds non-finite values")
         bad = ~np.isin(self.stages, (STAGE_AWAKE, STAGE_REM, STAGE_NONREM, STAGE_MISSING))
         if np.any(bad):
             raise ValueRangeError(

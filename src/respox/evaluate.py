@@ -1,19 +1,20 @@
 """Segment-based evaluation: metrics, aggregation, group distributions, dumps.
 
-Predictions and ground truth are cut into fixed-length non-overlapping
-segments; correlation, mean absolute error, and root mean squared error are
-computed per segment in SpO2 percentage points and averaged unweighted.
-Flat segments (variance below the floor on either side) contribute MAE and
-RMSE but are excluded from the correlation average. The report carries both
-the per-segment aggregation and a per-night alternative.
+Each night is forwarded once; its prediction feeds the segment metrics, the
+group distributions and the per-night dump alike. Predictions and ground
+truth are cut into fixed-length non-overlapping segments; correlation, mean
+absolute error, and root mean squared error are computed per segment in SpO2
+percentage points and averaged unweighted. Flat segments (variance below the
+floor on either side) contribute MAE and RMSE but are excluded from the
+correlation average. The report carries both the per-segment aggregation and
+a per-night alternative.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,6 +71,9 @@ class EvalReport:
     config_hash: str | None = None
     checkpoint_id: str | None = None
     group_stats: dict | None = None
+    # (record, y_hat in percentage points, gate series or None) per night, in
+    # input order; kept in memory for dumps and left out of to_dict()
+    nights: list = field(default_factory=list, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         def agg(d):
@@ -148,12 +152,6 @@ def predict_record(params, config, record, gate_map=None, *, normalize: bool = T
     return y_hat_pct, pred
 
 
-def _night_result(params, config, record, gate_map, normalize, seg_len):
-    y_hat, _ = predict_record(params, config, record, gate_map, normalize=normalize)
-    segs = [metrics(h, t) for h, t in segment(y_hat, record.spo2, seg_len)]
-    return {"dataset_id": record.dataset_id, "subject_id": record.subject_id, "segments": segs}
-
-
 def _mean(values) -> float:
     vals = list(values)
     return math.fsum(vals) / len(vals) if vals else 0.0
@@ -198,50 +196,39 @@ def evaluate(
     config_hash: str | None = None,
     checkpoint_id: str | None = None,
     group_var: str | None = None,
-    jobs: int = 1,
 ) -> EvalReport:
     """Score a model on test records, aggregated per dataset and overall.
 
     Per-segment metrics are averaged unweighted across all nights of a
     dataset (and across everything for the "overall" row); the by_night
     table averages each night's segment means instead. Exact summation
-    makes both tables invariant to record ordering.
+    makes both tables invariant to record ordering. Each record is forwarded
+    once; the report keeps every night's prediction for dump_predictions.
     """
     records = list(records)
     if not records:
         raise EvalError("no records to evaluate")
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(
-                    lambda r: _night_result(params, config, r, gate_map, normalize, seg_len),
-                    records,
-                )
-            )
-    else:
-        results = [_night_result(params, config, r, gate_map, normalize, seg_len) for r in records]
+    nights = []
+    by_dataset: dict[str, list[list[SegmentMetrics]]] = {}
+    for record in records:
+        y_hat, pred = predict_record(params, config, record, gate_map, normalize=normalize)
+        nights.append((record, y_hat, pred.gate_series))
+        segs = [metrics(h, t) for h, t in segment(y_hat, record.spo2, seg_len)]
+        by_dataset.setdefault(record.dataset_id, []).append(segs)
 
-    total = sum(len(r["segments"]) for r in results)
+    all_lists = [segs for lists in by_dataset.values() for segs in lists]
+    total = sum(len(segs) for segs in all_lists)
     if total == 0:
         raise EvalError(f"no complete {seg_len} s segments in {len(records)} records")
 
-    by_dataset: dict[str, list[list[SegmentMetrics]]] = {}
-    for r in results:
-        by_dataset.setdefault(r["dataset_id"], []).append(r["segments"])
-
     by_segment = {ds: _aggregate_segments(lists) for ds, lists in sorted(by_dataset.items())}
     by_night = {ds: _aggregate_nights(lists) for ds, lists in sorted(by_dataset.items())}
-    all_lists = [segs for lists in by_dataset.values() for segs in lists]
     by_segment["overall"] = _aggregate_segments(all_lists)
     by_night["overall"] = _aggregate_nights(all_lists)
 
     group_stats = None
     if group_var is not None:
-        predictions = []
-        for record in records:
-            y_hat, _ = predict_record(params, config, record, gate_map, normalize=normalize)
-            predictions.append(y_hat)
-        group_stats = group_distribution(records, predictions, group_var)
+        group_stats = group_distribution(records, [y_hat for _, y_hat, _ in nights], group_var)
 
     return EvalReport(
         by_segment=by_segment,
@@ -251,6 +238,7 @@ def evaluate(
         config_hash=config_hash,
         checkpoint_id=checkpoint_id,
         group_stats=group_stats,
+        nights=nights,
     )
 
 
@@ -301,16 +289,16 @@ def group_distribution(records, predictions, group_var: str) -> dict:
 # ---------------------------------------------------------------- dumps
 
 
-def dump_predictions(params, config, record, path, gate_map=None, *, normalize: bool = True) -> int:
-    """Write one night as TSV rows of {t, truth, raw, rounded, stage, gate}.
+def dump_predictions(record, y_hat, gate_series, path) -> int:
+    """Write one night's prediction as TSV rows of {t, truth, raw, rounded, stage, gate}.
 
-    Rounding is half-up to match integer oximeter readouts; it affects the
-    dump only, never the metrics. Returns the number of data rows.
+    y_hat is in percentage points, as predict_record returns it; a gate
+    series of None (ungated variants) dumps gate status 0. Rounding is
+    half-up to match integer oximeter readouts; it affects the dump only,
+    never the metrics. Returns the number of data rows.
     """
-    y_hat, pred = predict_record(params, config, record, gate_map, normalize=normalize)
-    gate_series = (
-        pred.gate_series if pred.gate_series is not None else np.zeros(y_hat.shape[0], dtype=np.int64)
-    )
+    if gate_series is None:
+        gate_series = np.zeros(y_hat.shape[0], dtype=np.int64)
     rounded = np.floor(y_hat + 0.5).astype(np.int64)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t\ty_true\ty_hat_raw\ty_hat_rounded\tstage\tgate_status\n")

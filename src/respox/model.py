@@ -74,24 +74,25 @@ def _ones(shape, dtype, requires_grad=True):
     return Tensor(np.ones(shape, dtype=dtype), requires_grad=requires_grad, dtype=dtype)
 
 
-def _add_conv_block(params, prefix, rng, c_in, c_out, k, dtype):
-    bound = 1.0 / np.sqrt(c_in * k)
-    params[f"{prefix}.conv.weight"] = _uniform(rng, (c_out, c_in, k), bound, dtype)
-    params[f"{prefix}.conv.bias"] = _zeros((c_out,), dtype)
+def _add_bn(params, prefix, c_out, dtype):
     params[f"{prefix}.bn.gamma"] = _ones((c_out,), dtype)
     params[f"{prefix}.bn.beta"] = _zeros((c_out,), dtype)
     params[f"{prefix}.bn.running_mean"] = _zeros((c_out,), dtype, requires_grad=False)
     params[f"{prefix}.bn.running_var"] = _ones((c_out,), dtype, requires_grad=False)
+
+
+def _add_conv_block(params, prefix, rng, c_in, c_out, k, dtype):
+    bound = 1.0 / np.sqrt(c_in * k)
+    params[f"{prefix}.conv.weight"] = _uniform(rng, (c_out, c_in, k), bound, dtype)
+    params[f"{prefix}.conv.bias"] = _zeros((c_out,), dtype)
+    _add_bn(params, prefix, c_out, dtype)
 
 
 def _add_deconv_block(params, prefix, rng, c_in, c_out, k, dtype):
     bound = 1.0 / np.sqrt(c_in * k)
     params[f"{prefix}.deconv.weight"] = _uniform(rng, (c_in, c_out, k), bound, dtype)
     params[f"{prefix}.deconv.bias"] = _zeros((c_out,), dtype)
-    params[f"{prefix}.bn.gamma"] = _ones((c_out,), dtype)
-    params[f"{prefix}.bn.beta"] = _zeros((c_out,), dtype)
-    params[f"{prefix}.bn.running_mean"] = _zeros((c_out,), dtype, requires_grad=False)
-    params[f"{prefix}.bn.running_var"] = _ones((c_out,), dtype, requires_grad=False)
+    _add_bn(params, prefix, c_out, dtype)
 
 
 def input_channels(config: ModelConfig) -> int:
@@ -192,15 +193,8 @@ def param_count(params: ModelParams) -> int:
 # ---------------------------------------------------------------- forward
 
 
-def _conv_block(params, prefix, x, stride, config, mode, rng):
-    k = config.kernel_size
-    h = kernels.conv1d(
-        x,
-        params[f"{prefix}.conv.weight"],
-        params[f"{prefix}.conv.bias"],
-        stride=stride,
-        padding=k // 2,
-    )
+def _bn_rrelu(params, prefix, h, config, mode, rng):
+    """Batch norm then randomized leaky ReLU: the tail every (de)conv block shares."""
     h = kernels.batch_norm1d(
         h,
         params[f"{prefix}.bn.gamma"],
@@ -213,6 +207,18 @@ def _conv_block(params, prefix, x, stride, config, mode, rng):
     )
     lo, hi = config.rrelu_bounds
     return kernels.rrelu(h, lo, hi, mode=mode, rng=rng)
+
+
+def _conv_block(params, prefix, x, stride, config, mode, rng):
+    k = config.kernel_size
+    h = kernels.conv1d(
+        x,
+        params[f"{prefix}.conv.weight"],
+        params[f"{prefix}.conv.bias"],
+        stride=stride,
+        padding=k // 2,
+    )
+    return _bn_rrelu(params, prefix, h, config, mode, rng)
 
 
 def _deconv_block(params, prefix, x, stride, config, mode, rng):
@@ -225,18 +231,7 @@ def _deconv_block(params, prefix, x, stride, config, mode, rng):
         padding=k // 2,
         output_padding=stride - 1,
     )
-    h = kernels.batch_norm1d(
-        h,
-        params[f"{prefix}.bn.gamma"],
-        params[f"{prefix}.bn.beta"],
-        params[f"{prefix}.bn.running_mean"],
-        params[f"{prefix}.bn.running_var"],
-        eps=config.bn_eps,
-        momentum=config.bn_momentum,
-        mode=mode,
-    )
-    lo, hi = config.rrelu_bounds
-    return kernels.rrelu(h, lo, hi, mode=mode, rng=rng)
+    return _bn_rrelu(params, prefix, h, config, mode, rng)
 
 
 def encode(

@@ -83,12 +83,6 @@ class Tensor:
     def __float__(self) -> float:
         return self.item()
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def zero_grad(self) -> None:
         self.grad = None
 

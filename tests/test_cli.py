@@ -13,6 +13,7 @@ from respox.config import (
     run_config_to_dict,
     tiny_model_config,
 )
+from respox.gate import identity_gate_map, save_gate_map
 
 @pytest.fixture(scope="module")
 def runner():
@@ -199,6 +200,61 @@ def test_eval_writes_report_and_dumps(runner, data_dir, config_file, backbone_ck
     first = (dump_dir / dumps[0]).read_text().splitlines()
     assert first[0].startswith("t\ty_true")
     assert len(first) == 241
+
+
+def test_eval_forwards_each_night_once(runner, data_dir, backbone_ckpt, tmp_path, monkeypatch):
+    import respox.evaluate as ev
+
+    calls = []
+    original = ev.predict_record
+
+    def counting(*args, **kwargs):
+        calls.append(args[2].subject_id)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ev, "predict_record", counting)
+    result = runner.invoke(
+        main,
+        [
+            "eval", "--ckpt", str(backbone_ckpt), "--data", str(data_dir), "--split", "all",
+            "--group-by", "gender", "--dump", str(tmp_path / "dumps"), "--report", str(tmp_path / "r.json"),
+        ],
+    )
+    assert result.exit_code == 0, result.output
+    nights = sorted(p.stem for p in data_dir.glob("*.rsp"))
+    assert sorted(calls) == nights
+    assert sorted(p.stem for p in (tmp_path / "dumps").iterdir()) == nights
+    assert set(json.loads((tmp_path / "r.json").read_text())["group_stats"]) == {"0", "1"}
+
+
+def test_eval_gate_map_must_fit_checkpoint(runner, data_dir, gated_artifacts, tmp_path):
+    ckpt, _ = gated_artifacts
+    cfg = load_checkpoint(str(ckpt)).config
+    wide = tmp_path / "wide.json"
+    save_gate_map(str(wide), identity_gate_map(cfg.v_states, cfg.u_classes))
+    result = runner.invoke(
+        main,
+        [
+            "eval", "--ckpt", str(ckpt), "--data", str(data_dir), "--gate-map", str(wide),
+            "--report", str(tmp_path / "r.json"),
+        ],
+    )
+    assert result.exit_code == 2
+    assert "6 heads" in result.stderr
+
+    # right head count, but no table entry for any state: a typed failure at
+    # evaluation time, not a traceback
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"n_heads": 2, "table": {}}))
+    result = runner.invoke(
+        main,
+        [
+            "eval", "--ckpt", str(ckpt), "--data", str(data_dir), "--gate-map", str(empty),
+            "--report", str(tmp_path / "r.json"),
+        ],
+    )
+    assert result.exit_code == 1
+    assert "evaluation failed" in result.stderr
 
 
 def test_eval_rejects_mismatched_config(runner, data_dir, backbone_ckpt, tmp_path):

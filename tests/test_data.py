@@ -103,6 +103,29 @@ def test_out_of_range_spo2_rejected(tmp_path):
         write_record(record, str(tmp_path / "x.rsp"))
 
 
+@pytest.mark.parametrize("field, value", [("spo2", np.nan), ("breathing", np.nan), ("breathing", np.inf)])
+def test_non_finite_values_rejected_on_write(tmp_path, field, value):
+    record = make_record()
+    getattr(record, field)[:] = value
+    with pytest.raises(ValueRangeError):
+        write_record(record, str(tmp_path / "x.rsp"))
+
+
+@pytest.mark.parametrize("field", ["breathing", "spo2"])
+def test_non_finite_values_rejected_on_read(tmp_path, field):
+    record = make_record()
+    path = tmp_path / "x.rsp"
+    write_record(record, str(path))
+    raw = bytearray(path.read_bytes())
+    offset = 8 + int.from_bytes(raw[4:8], "little")
+    if field == "spo2":
+        offset += 4 * record.fb * record.duration_s
+    raw[offset : offset + 4] = np.float32(np.nan).tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueRangeError):
+        read_record(str(path))
+
+
 def test_invalid_stage_rejected(tmp_path):
     record = make_record()
     record.stages[0] = 7

@@ -169,12 +169,10 @@ def test_evaluate_rejects_empty_and_short(micro_params, micro_cfg, micro_records
         evaluate(micro_params, micro_cfg, micro_records[:1], seg_len=100)
 
 
-def test_evaluate_order_invariant_and_parallel(micro_params, micro_cfg, micro_records):
+def test_evaluate_order_invariant(micro_params, micro_cfg, micro_records):
     fwd = evaluate(micro_params, micro_cfg, micro_records, seg_len=48)
     rev = evaluate(micro_params, micro_cfg, list(reversed(micro_records)), seg_len=48)
-    par = evaluate(micro_params, micro_cfg, micro_records, seg_len=48, jobs=3)
     assert fwd.to_dict() == rev.to_dict()
-    assert fwd.to_dict() == par.to_dict()
     assert fwd.segment_count == 2 * len(micro_records)
 
 
@@ -281,7 +279,8 @@ def test_evaluate_group_stats_plumbed(micro_params, micro_cfg, micro_records):
 def test_dump_predictions_rows(tmp_path, micro_params, micro_cfg, micro_records):
     record = micro_records[0]
     path = tmp_path / "night.tsv"
-    n = dump_predictions(micro_params, micro_cfg, record, str(path))
+    report = evaluate(micro_params, micro_cfg, [record], seg_len=record.duration_s)
+    n = dump_predictions(*report.nights[0], str(path))
     lines = path.read_text().splitlines()
     assert n == record.duration_s
     assert len(lines) == n + 1
@@ -291,30 +290,21 @@ def test_dump_predictions_rows(tmp_path, micro_params, micro_cfg, micro_records)
         cols = line.split("\t")
         assert int(cols[0]) == t
         assert float(cols[1]) == pytest.approx(float(record.spo2[t]), abs=1e-6)
+        assert float(cols[2]) == pytest.approx(float(y_hat[t]), abs=1e-6)
         assert int(cols[3]) == math.floor(float(cols[2]) + 0.5)
         assert int(cols[4]) == int(record.stages[t])
         assert cols[5] == "0"  # ungated variants dump gate status 0
     dumped_mae = np.mean(np.abs(np.array([float(l.split("\t")[2]) for l in lines[1:]]) - record.spo2))
-    report = evaluate(micro_params, micro_cfg, [record], seg_len=record.duration_s)
     assert dumped_mae == pytest.approx(report.by_segment["overall"].mae, abs=1e-9)
 
 
-def test_dump_rounding_is_half_up(tmp_path, micro_params, micro_cfg, micro_records, monkeypatch):
-    import respox.evaluate as ev
-
+def test_dump_rounding_is_half_up(tmp_path, micro_records):
     record = micro_records[0]
     fixed = np.full(record.duration_s, 94.5)
     fixed[0] = 94.4
     fixed[1] = 94.6
-
-    def fake_predict(params, config, rec, gate_map=None, *, normalize=True):
-        class P:
-            gate_series = None
-        return fixed.copy(), P()
-
-    monkeypatch.setattr(ev, "predict_record", fake_predict)
     path = tmp_path / "rounded.tsv"
-    ev.dump_predictions(micro_params, micro_cfg, record, str(path))
+    dump_predictions(record, fixed, None, str(path))
     rounded = [int(line.split("\t")[3]) for line in path.read_text().splitlines()[1:]]
     assert rounded[0] == 94
     assert rounded[1] == 95
@@ -328,12 +318,12 @@ def test_dump_gated_records_gate_status(tmp_path, micro_records):
     gate_map = manual_gate_map(space, n_heads=2)
     path = tmp_path / "gated.tsv"
     record = micro_records[0]
-    dump_predictions(params, cfg, record, str(path), gate_map)
+    y_hat, pred = predict_record(params, cfg, record, gate_map)
+    dump_predictions(record, y_hat, pred.gate_series, str(path))
     rows = [line.split("\t") for line in path.read_text().splitlines()[1:]]
     statuses = {int(r[5]) for r in rows}
     assert statuses <= {1, 2}
     # inference gates on the model's own stage estimate, not the truth column
-    _, pred = predict_record(params, cfg, record, gate_map)
     u_hat = np.argmax(pred.u_logits.data, axis=0)
     for r, u in zip(rows, u_hat):
         assert int(r[5]) == 1 + (int(u) % 2)
