@@ -17,6 +17,7 @@ bit-exact.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -91,67 +92,63 @@ def save_checkpoint(
             fh.write(blob)
 
 
-def _parse_manifest(path, head: bytes) -> tuple[dict, int]:
-    """Validate the magic, length, JSON and keys of the manifest at the start of head.
+def _read_manifest(path, fh) -> tuple[dict, int]:
+    """Read and validate the magic, length, JSON and keys of the manifest from fh.
 
     Returns the manifest and the offset where the float section starts.
     """
+    head = fh.read(8)
     if len(head) < 8 or head[:4] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
     (header_len,) = struct.unpack("<I", head[4:8])
-    data_start = 8 + header_len
-    if len(head) < data_start:
-        raise CheckpointError(f"{path}: truncated manifest ({len(head) - 8} of {header_len} bytes)")
+    header = fh.read(header_len)
+    if len(header) < header_len:
+        raise CheckpointError(f"{path}: truncated manifest ({len(header)} of {header_len} bytes)")
     try:
-        manifest = json.loads(head[8:data_start].decode("utf-8"))
+        manifest = json.loads(header.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: manifest is not valid JSON ({exc})") from exc
     for key in ("config", "tensors", "meta"):
         if key not in manifest:
             raise CheckpointError(f"{path}: manifest missing {key!r}")
-    return manifest, data_start
+    return manifest, 8 + header_len
 
 
 def read_manifest(path) -> dict:
     """Parse and validate just the JSON manifest of a checkpoint file."""
     with open(path, "rb") as fh:
-        head = fh.read(8)
-        if len(head) == 8 and head[:4] == MAGIC:
-            head += fh.read(struct.unpack("<I", head[4:8])[0])
-    return _parse_manifest(path, head)[0]
+        return _read_manifest(path, fh)[0]
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read each tensor straight from the file into its own array; the file is never held whole."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    manifest, data_start = _parse_manifest(path, raw)
-
-    data = memoryview(raw)[data_start:]  # a view: the float section is not copied twice
-    expected = 0
-    for entry in manifest["tensors"]:
-        size = int(np.prod(entry["shape"], dtype=np.int64)) if entry["shape"] else 1
-        if entry["byte_offset"] != expected:
+        manifest, data_start = _read_manifest(path, fh)
+        expected = 0
+        for entry in manifest["tensors"]:
+            if entry["byte_offset"] != expected:
+                raise CheckpointError(
+                    f"{path}: tensor {entry['name']!r} at offset {entry['byte_offset']}, expected {expected}"
+                )
+            expected += 4 * int(np.prod(entry["shape"], dtype=np.int64))
+        held = os.fstat(fh.fileno()).st_size - data_start
+        if held != expected:
             raise CheckpointError(
-                f"{path}: tensor {entry['name']!r} at offset {entry['byte_offset']}, expected {expected}"
+                f"{path}: float section holds {held} bytes, manifest declares {expected}"
             )
-        expected += 4 * size
-    if len(data) != expected:
-        raise CheckpointError(
-            f"{path}: float section holds {len(data)} bytes, manifest declares {expected}"
-        )
 
-    params: dict = {}
-    optimizer: dict = {}
-    for entry in manifest["tensors"]:
-        shape = tuple(entry["shape"])
-        size = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        start = entry["byte_offset"]
-        arr = np.frombuffer(data, dtype="<f4", count=size, offset=start).reshape(shape).copy()
-        name = entry["name"]
-        if name.startswith(OPTIMIZER_PREFIX):
-            optimizer[name] = arr
-        else:
-            params[name] = Tensor(arr, requires_grad="running_" not in name, dtype=np.float32)
+        params: dict = {}
+        optimizer: dict = {}
+        for entry in manifest["tensors"]:
+            name = entry["name"]
+            arr = np.empty(tuple(entry["shape"]), dtype="<f4")
+            got = fh.readinto(arr)
+            if got != arr.nbytes:
+                raise CheckpointError(f"{path}: tensor {name!r} truncated ({got} of {arr.nbytes} bytes)")
+            if name.startswith(OPTIMIZER_PREFIX):
+                optimizer[name] = arr
+            else:
+                params[name] = Tensor(arr, requires_grad="running_" not in name, dtype=np.float32)
 
     config = model_config_from_dict(manifest["config"])
     return Checkpoint(params=params, config=config, meta=manifest["meta"], optimizer=optimizer)

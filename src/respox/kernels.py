@@ -4,6 +4,12 @@ Everything operates in channels-first layout: signals are [C, L], conv
 weights are [C_out, C_in, k], transposed-conv weights are [C_in, C_out, k].
 conv1d is cross-correlation (no kernel flip); conv_transpose1d is its exact
 adjoint, so the pair shares scatter/gather cores and never disagrees.
+Both directions of both kernels run through one im2col core plus BLAS
+GEMMs: conv1d's forward and weight gradient multiply the im2col matrix of
+x, and conv_transpose1d's backward builds the im2col matrix of the
+upstream gradient once for both its input and weight gradients.  The
+remaining direction of each (conv1d's input gradient, conv_transpose1d's
+forward) scatters one GEMM per kernel tap.
 """
 
 from __future__ import annotations
@@ -66,22 +72,14 @@ def _check_conv_args(stride: int, padding: int) -> None:
         raise ShapeError(f"padding must be >= 0, got {padding}")
 
 
-def _correlate(x: np.ndarray, w: np.ndarray, stride: int, padding: int, out_len: int):
-    """out[o, t] = sum_{i,j} w[o,i,j] * x_padded[i, t*stride + j].
-
-    Returns (out, columns) where columns is the [C_in*k, out_len] im2col
-    matrix of x (reused for the weight gradient).
-    """
-    c_in, length = x.shape
-    c_out, _, k = w.shape
+def _im2col(x: np.ndarray, k: int, stride: int, padding: int, out_len: int) -> np.ndarray:
+    """The [C*k, out_len] im2col matrix: cols[i*k + j, t] = x_padded[i, t*stride + j]."""
+    c, length = x.shape
     needed = (out_len - 1) * stride + k
     right = max(0, needed - (length + padding))
     xp = np.pad(x, ((0, 0), (padding, right)))
     windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)[:, ::stride, :]
-    windows = windows[:, :out_len, :]
-    cols = windows.transpose(0, 2, 1).reshape(c_in * k, out_len)
-    out = w.reshape(c_out, c_in * k) @ cols
-    return out, cols
+    return windows[:, :out_len, :].transpose(0, 2, 1).reshape(c * k, out_len)
 
 
 def _scatter(x: np.ndarray, w: np.ndarray, stride: int, padding: int, out_len: int) -> np.ndarray:
@@ -114,10 +112,11 @@ def conv1d(
     if bias is not None and bias.shape != (c_out,):
         raise ShapeError(f"conv1d bias must have shape ({c_out},), got {bias.shape}")
     out_len = conv_output_length(length, k, stride, padding)
-    out, cols = _correlate(x.data, weight.data, stride, padding, out_len)
+    wd = weight.data
+    cols = _im2col(x.data, k, stride, padding, out_len)
+    out = wd.reshape(c_out, c_in * k) @ cols
     if bias is not None:
         out = out + bias.data[:, None]
-    wd = weight.data
 
     def grad_fn(g):
         gx = _scatter(g, wd, stride, padding, length) if x.requires_grad else None
@@ -161,18 +160,11 @@ def conv_transpose1d(
     xd = x.data
 
     def grad_fn(g):
-        # gx is a correlation of g with the same weight, axes read as [out=C_in, in=C_out, k].
-        gx = None
-        if x.requires_grad:
-            gx, _ = _correlate(g, wd, stride, padding, length)
-        gw = None
-        if weight.requires_grad:
-            needed = (length - 1) * stride + k
-            right = max(0, needed - (g.shape[1] + padding))
-            gp = np.pad(g, ((0, 0), (padding, right)))
-            gwin = np.lib.stride_tricks.sliding_window_view(gp, k, axis=1)[:, ::stride, :]
-            gwin = gwin[:, :length, :]
-            gw = np.einsum("il,olk->iok", xd, gwin)
+        # g's im2col feeds both products: gx correlates g with the same weight,
+        # its axes read as [out=C_in, in=C_out, k].
+        cols = _im2col(g, k, stride, padding, length)
+        gx = wd.reshape(c_in, c_out * k) @ cols if x.requires_grad else None
+        gw = (xd @ cols.T).reshape(wd.shape) if weight.requires_grad else None
         if bias is None:
             return gx, gw
         gb = g.sum(axis=1) if bias.requires_grad else None
@@ -269,14 +261,13 @@ def rrelu(
     if _RRELU_OBSERVER is not None:
         _RRELU_OBSERVER(x.data)
     xd = x.data
-    nonneg = xd >= 0
     if mode == "train":
         if rng is None:
             raise ShapeError("rrelu train mode requires an rng")
         slopes = rng.uniform(lower, upper, size=xd.shape).astype(xd.dtype)
     else:
-        slopes = np.full_like(xd, (lower + upper) / 2.0)
-    factor = np.where(nonneg, np.ones_like(xd), slopes)
+        slopes = xd.dtype.type((lower + upper) / 2.0)
+    factor = np.where(xd >= 0, xd.dtype.type(1.0), slopes)
     out = xd * factor
 
     def grad_fn(g):

@@ -100,6 +100,21 @@ def test_truncated_data_rejected(tmp_path, micro_state):
         load_checkpoint(str(path))
 
 
+@pytest.mark.parametrize("edit", ["drop_last_tensor_bytes", "append_one_float"])
+def test_float_section_must_match_manifest(tmp_path, micro_state, edit):
+    cfg, params = micro_state
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(str(path), params, cfg)
+    raw = path.read_bytes()
+    if edit == "drop_last_tensor_bytes":
+        raw = raw[:-8]  # whole floats missing: offsets still line up, the size does not
+    else:
+        raw = raw + np.float32(1.0).tobytes()
+    path.write_bytes(raw)
+    with pytest.raises(CheckpointError, match="float section"):
+        load_checkpoint(str(path))
+
+
 def test_corrupt_manifest_rejected(tmp_path, micro_state):
     cfg, params = micro_state
     path = tmp_path / "m.ckpt"

@@ -106,6 +106,42 @@ def test_conv_transpose_matches_conv_input_gradient():
     np.testing.assert_allclose(up, xt.grad, atol=1e-10)
 
 
+def loop_weight_grad(op, x, g, k, stride, padding):
+    """dL/dw of conv1d ([C_out, C_in, k]) or conv_transpose1d ([C_in, C_out, k]) by plain loops."""
+    if op == "conv1d":
+        xp = np.pad(x, ((0, 0), (padding, padding + k)))
+        gw = np.zeros((g.shape[0], x.shape[0], k))
+        for o, i, j, t in np.ndindex(g.shape[0], x.shape[0], k, g.shape[1]):
+            gw[o, i, j] += g[o, t] * xp[i, t * stride + j]
+        return gw
+    gw = np.zeros((x.shape[0], g.shape[0], k))
+    for i, o, j, t in np.ndindex(x.shape[0], g.shape[0], k, x.shape[1]):
+        pos = t * stride + j - padding
+        if 0 <= pos < g.shape[1]:
+            gw[i, o, j] += x[i, t] * g[o, pos]
+    return gw
+
+
+@pytest.mark.parametrize("op", ["conv1d", "conv_transpose1d"])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("x_grad", [True, False])
+def test_conv_weight_gradient_matches_loops(op, stride, x_grad):
+    rng = np.random.default_rng(10 * stride + x_grad)
+    k, padding, c_in, c_out, length = 7, 3, 2, 3, 11
+    x = rng.normal(size=(c_in, length))
+    xt = t(x, grad=x_grad)
+    if op == "conv1d":
+        wt = t(rng.normal(size=(c_out, c_in, k)))
+        out = conv1d(xt, wt, stride=stride, padding=padding)
+    else:
+        wt = t(rng.normal(size=(c_in, c_out, k)))
+        out = conv_transpose1d(xt, wt, stride=stride, padding=padding, output_padding=stride - 1)
+    g = rng.normal(size=out.shape)
+    (out * Tensor(g, dtype=np.float64)).sum().backward()
+    np.testing.assert_allclose(wt.grad, loop_weight_grad(op, x, g, k, stride, padding), atol=1e-10)
+    assert (xt.grad is not None) == x_grad
+
+
 def test_conv_shape_errors():
     with pytest.raises(ShapeError):
         conv1d(t(np.zeros((2, 10))), t(np.zeros((3, 1, 7))))
