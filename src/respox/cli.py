@@ -18,16 +18,17 @@ import numpy as np
 
 from . import __version__
 from . import model as model_mod
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import OPTIMIZER_PREFIX, CheckpointError, is_trainable, load_checkpoint, read_manifest
 from .config import (
     ConfigError,
     FULL_PARAM_COUNT_REFERENCE,
     RunConfig,
     config_hash,
     load_run_config,
+    model_config_from_dict,
     model_config_to_dict,
-    run_config_to_dict,
 )
+from .container import write_json
 from .data import (
     RecordError,
     crop_to_multiple,
@@ -58,20 +59,13 @@ def _load_config(path: str | None) -> RunConfig:
     return load_run_config(path)
 
 
-def _override(cfg, section: str, **updates):
-    """Apply non-None flag overrides onto one config section, logging each."""
-    obj = getattr(cfg, section)
-    applied = {}
-    for key, value in updates.items():
-        if value is None:
-            continue
+def _override(obj, label: str, **updates):
+    """Apply non-None flag overrides onto one config section or profile, logging each change."""
+    applied = {key: value for key, value in updates.items() if value is not None}
+    for key, value in applied.items():
         if getattr(obj, key) != value:
-            log.info("flag override: %s.%s = %r (config had %r)", section, key, value, getattr(obj, key))
-        applied[key] = value
-    if applied:
-        obj = replace(obj, **applied)
-        setattr(cfg, section, obj)
-    return cfg
+            log.info("flag override: %s.%s = %r (config had %r)", label, key, value, getattr(obj, key))
+    return replace(obj, **applied) if applied else obj
 
 
 def _load_records(data_dir: str | None, cfg: RunConfig, split: str):
@@ -113,12 +107,7 @@ def synth(out, profile, seed, nights, duration):
                 prof = profile_from_dict(json.load(fh))
         else:
             prof = SynthProfile()
-        overrides = {"seed": seed, "nights": nights, "duration_s": duration}
-        overrides = {k: v for k, v in overrides.items() if v is not None}
-        for key, value in overrides.items():
-            log.info("flag override: profile.%s = %r", key, value)
-        if overrides:
-            prof = replace(prof, **overrides)
+        prof = _override(prof, "profile", seed=seed, nights=nights, duration_s=duration)
     except (SynthError, json.JSONDecodeError, OSError) as exc:
         _fail(EXIT_USAGE, f"bad profile: {exc}")
 
@@ -136,9 +125,7 @@ def synth(out, profile, seed, nights, duration):
         "profile_hash": config_hash(payload),
         "files": files,
     }
-    with open(os.path.join(out, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out, "manifest.json"), manifest)
     click.echo(f"wrote {len(files)} records and manifest.json to {out}")
 
 
@@ -162,17 +149,12 @@ def train_cmd(config_path, data_dir, variant, out, log_out, gate_map_out, seed, 
     """Train a model variant and write checkpoint, log, and gate map."""
     try:
         cfg = _load_config(config_path)
-        cfg = _override(cfg, "train", seed=seed, epochs=epochs)
-        cfg = _override(cfg, "data", dir=data_dir)
-        model_updates = {}
-        if variant is not None and variant != cfg.model.variant:
-            log.info("flag override: model.variant = %r (config had %r)", variant, cfg.model.variant)
-            model_updates["variant"] = variant
-        model_cfg = replace(cfg.model, **model_updates) if model_updates else cfg.model
-        if model_cfg.variant == "gated" and model_cfg.n_heads != cfg.gate.n_heads:
+        cfg.train = _override(cfg.train, "train", seed=seed, epochs=epochs)
+        cfg.data = _override(cfg.data, "data", dir=data_dir)
+        cfg.model = _override(cfg.model, "model", variant=variant)
+        if cfg.model.variant == "gated" and cfg.model.n_heads != cfg.gate.n_heads:
             log.info("sizing model.n_heads from gate.n_heads = %d", cfg.gate.n_heads)
-            model_cfg = replace(model_cfg, n_heads=cfg.gate.n_heads)
-        cfg.model = model_cfg
+            cfg.model = replace(cfg.model, n_heads=cfg.gate.n_heads)
         digest = config_hash(cfg)
         records = _load_records(data_dir, cfg, split)
     except (ConfigError, RecordError, SynthError) as exc:
@@ -205,6 +187,8 @@ def train_cmd(config_path, data_dir, variant, out, log_out, gate_map_out, seed, 
             )
     except TrainingError as exc:
         _fail(EXIT_FAILURE, f"training failed: {exc}")
+    except (GateError, ConfigError) as exc:
+        _fail(EXIT_FAILURE, f"gate map construction failed: {exc}")
 
     log_path = log_out or f"{out}.log.jsonl"
     write_train_log(log_path, train_log)
@@ -231,7 +215,7 @@ def gatemap(ckpt, config_path, data_dir, n_heads, mode, out):
     """Derive a gate map from a trained backbone via gradient similarity."""
     try:
         cfg = _load_config(config_path)
-        cfg = _override(cfg, "gate", n_heads=n_heads, mode=mode)
+        cfg.gate = _override(cfg.gate, "gate", n_heads=n_heads, mode=mode)
         checkpoint = load_checkpoint(ckpt)
         gated_cfg = replace(checkpoint.config, variant="gated", n_heads=cfg.gate.n_heads)
         records = None
@@ -278,7 +262,7 @@ def eval_cmd(ckpt, config_path, data_dir, gate_map_path, split, group_by, dump_d
     """Score a checkpoint on a dataset and write the JSON report."""
     try:
         cfg = _load_config(config_path)
-        cfg = _override(cfg, "eval", split=split, group_var=group_by)
+        cfg.eval = _override(cfg.eval, "eval", split=split, group_var=group_by)
         checkpoint = load_checkpoint(ckpt)
         if config_path is not None:
             digest = config_hash(cfg)
@@ -318,9 +302,7 @@ def eval_cmd(ckpt, config_path, data_dir, gate_map_path, split, group_by, dump_d
     payload = report.to_dict()
     payload["tool_version"] = __version__
     payload["aggregation"] = cfg.eval.aggregation
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(report_path, payload)
 
     if dump_dir:
         os.makedirs(dump_dir, exist_ok=True)
@@ -363,27 +345,29 @@ def gradcheck(seed, instances):
 @click.option("--ckpt", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--tensors/--no-tensors", default=False, help="List every stored tensor.")
 def inspect(ckpt, tensors):
-    """Print a checkpoint's config, metadata, and parameter inventory."""
+    """Print a checkpoint's config, metadata, and parameter inventory from its manifest alone."""
     try:
-        checkpoint = load_checkpoint(ckpt)
-    except CheckpointError as exc:
+        manifest = read_manifest(ckpt)
+        config = model_config_to_dict(model_config_from_dict(manifest["config"]))
+    except (CheckpointError, ConfigError) as exc:
         _fail(EXIT_USAGE, f"cannot read checkpoint: {exc}")
 
-    click.echo(json.dumps(model_config_to_dict(checkpoint.config), indent=2, sort_keys=True))
-    if checkpoint.meta:
-        click.echo("meta: " + json.dumps(checkpoint.meta, sort_keys=True))
-    trainable = model_mod.param_count(checkpoint.params)
-    total = sum(int(np.prod(t.data.shape)) for t in checkpoint.params.values())
+    click.echo(json.dumps(config, indent=2, sort_keys=True))
+    if manifest["meta"]:
+        click.echo("meta: " + json.dumps(manifest["meta"], sort_keys=True))
+    shapes = {entry["name"]: tuple(entry["shape"]) for entry in manifest["tensors"]}
+    params = sorted(name for name in shapes if not name.startswith(OPTIMIZER_PREFIX))
+    trainable = sum(int(np.prod(shapes[name])) for name in params if is_trainable(name))
+    total = sum(int(np.prod(shapes[name])) for name in params)
     click.echo(
         f"parameters: {trainable:,} trainable, {total:,} with buffers "
         f"(full-scale reference: {FULL_PARAM_COUNT_REFERENCE:,})"
     )
-    if checkpoint.optimizer:
-        click.echo(f"optimizer tensors: {len(checkpoint.optimizer)}")
+    if len(shapes) > len(params):
+        click.echo(f"optimizer tensors: {len(shapes) - len(params)}")
     if tensors:
-        for name in sorted(checkpoint.params):
-            t = checkpoint.params[name]
-            click.echo(f"  {name}  {tuple(t.data.shape)}  {t.data.dtype}")
+        for name in params:
+            click.echo(f"  {name}  {shapes[name]}  float32")
 
 
 if __name__ == "__main__":

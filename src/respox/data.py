@@ -1,30 +1,26 @@
-"""Night records: binary container, validation, normalization, subject splits.
+"""Night records: RSP1 schema, validation, normalization, subject splits.
 
-A record file holds one night, little-endian throughout:
+A record file holds one night in the container framing of `container.py`
+with magic "RSP1".  Header keys: subject_id, dataset_id, fb, fo,
+duration_s, gender, vars{...}.  The body is, for T = duration_s:
 
-    bytes 0-3   magic "RSP1"
-    bytes 4-7   unsigned 32-bit header length H
-    H bytes     UTF-8 JSON {subject_id, dataset_id, fb, fo, duration_s,
-                            gender, vars{...}}
     fb*T floats     breathing (32-bit)
     fo*T floats     spo2 (32-bit, percentage points in [0, 100])
     fo*T bytes      stages (0 awake, 1 REM, 2 non-REM, 255 missing)
 
-File size must equal 8 + H + 4*fb*T + 4*fo*T + fo*T exactly.
+The body must hold exactly 4*fb*T + 4*fo*T + fo*T bytes.
 """
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
+from . import container
 from .config import QUANTUM_S
 
-MAGIC = b"RSP1"
 STAGE_AWAKE, STAGE_REM, STAGE_NONREM, STAGE_MISSING = 0, 1, 2, 255
 NORM_VAR_FLOOR = 1e-8
 
@@ -51,6 +47,12 @@ class ValueRangeError(RecordError):
 
 class RecordTooShortError(RecordError):
     pass
+
+
+RSP1 = container.Framing(
+    b"RSP1", "body", ("subject_id", "dataset_id", "fb", "fo", "duration_s", "gender", "vars"),
+    BadMagicError, TruncatedRecordError, LengthMismatchError, RecordError,
+)
 
 
 @dataclass
@@ -107,62 +109,31 @@ class Record:
 
 def write_record(record: Record, path) -> None:
     record.validate()
-    header = json.dumps(
-        {
-            "subject_id": record.subject_id,
-            "dataset_id": record.dataset_id,
-            "fb": record.fb,
-            "fo": record.fo,
-            "duration_s": record.duration_s,
-            "gender": record.gender,
-            "vars": record.vars,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    ).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        fh.write(record.breathing.astype("<f4", copy=False).tobytes())
-        fh.write(record.spo2.astype("<f4", copy=False).tobytes())
-        fh.write(record.stages.astype(np.uint8, copy=False).tobytes())
+    header = {key: getattr(record, key) for key in RSP1.required}
+    arrays = (record.breathing.astype("<f4", copy=False), record.spo2.astype("<f4", copy=False),
+              record.stages.astype(np.uint8, copy=False))
+    container.write(path, RSP1, header, arrays)
+
+
+def _body_size(fb: int, fo: int, duration_s: int) -> int:
+    return (4 * fb + 4 * fo + fo) * duration_s
 
 
 def record_file_size(header_len: int, fb: int, fo: int, duration_s: int) -> int:
-    return 8 + header_len + 4 * fb * duration_s + 4 * fo * duration_s + fo * duration_s
+    return container.PREFIX_BYTES + header_len + _body_size(fb, fo, duration_s)
 
 
 def read_record(path) -> Record:
+    """Read one night, each array straight from the file into its own buffer."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 8 or raw[:4] != MAGIC:
-        raise BadMagicError(f"{path}: not a record file (bad magic)")
-    (header_len,) = struct.unpack("<I", raw[4:8])
-    if len(raw) < 8 + header_len:
-        raise TruncatedRecordError(f"{path}: truncated header ({len(raw) - 8} of {header_len} bytes)")
-    try:
-        header = json.loads(raw[8 : 8 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise RecordError(f"{path}: header is not valid JSON ({exc})") from exc
-    missing = [k for k in ("subject_id", "dataset_id", "fb", "fo", "duration_s", "gender", "vars") if k not in header]
-    if missing:
-        raise RecordError(f"{path}: header missing {missing}")
-    fb, fo, t = int(header["fb"]), int(header["fo"]), int(header["duration_s"])
-    if fb <= 0 or fo <= 0 or t <= 0:
-        raise ValueRangeError(f"{path}: fb/fo/duration_s must be positive, got {fb}/{fo}/{t}")
-    expected = record_file_size(header_len, fb, fo, t)
-    if len(raw) < expected:
-        raise TruncatedRecordError(f"{path}: {len(raw)} bytes, header declares {expected}")
-    if len(raw) > expected:
-        raise LengthMismatchError(f"{path}: {len(raw)} bytes, header declares {expected} (trailing data)")
-
-    pos = 8 + header_len
-    breathing = np.frombuffer(raw, dtype="<f4", count=fb * t, offset=pos).copy()
-    pos += 4 * fb * t
-    spo2 = np.frombuffer(raw, dtype="<f4", count=fo * t, offset=pos).copy()
-    pos += 4 * fo * t
-    stages = np.frombuffer(raw, dtype=np.uint8, count=fo * t, offset=pos).copy()
+        header, held = container.read_header(fh, path, RSP1)
+        fb, fo, t = int(header["fb"]), int(header["fo"]), int(header["duration_s"])
+        if fb <= 0 or fo <= 0 or t <= 0:
+            raise ValueRangeError(f"{path}: fb/fo/duration_s must be positive, got {fb}/{fo}/{t}")
+        container.check_body(path, RSP1, held, _body_size(fb, fo, t))
+        breathing = container.read_array(fh, path, RSP1, "breathing", fb * t, "<f4")
+        spo2 = container.read_array(fh, path, RSP1, "spo2", fo * t, "<f4")
+        stages = container.read_array(fh, path, RSP1, "stages", fo * t, np.uint8)
 
     return Record(
         subject_id=str(header["subject_id"]),

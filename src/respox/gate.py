@@ -18,6 +18,7 @@ import numpy as np
 
 from . import model as model_mod
 from .config import ModelConfig
+from .container import write_json
 from .data import normalize_breathing
 from .tensor import backward, take
 
@@ -131,6 +132,8 @@ def build_gate_map(state_gradients, n_heads: int) -> GateMap:
     Repeatedly merges the cluster pair with the highest mean pairwise cosine
     similarity; ties keep the pair containing the lowest state index.  Heads
     are numbered 1..n_heads in order of each cluster's smallest member state.
+    The provenance lists each merge in order: both clusters' states and the
+    pair's mean similarity.
     """
     grads = sorted(state_gradients, key=lambda sg: sg.state)
     states = [sg.state for sg in grads]
@@ -141,6 +144,7 @@ def build_gate_map(state_gradients, n_heads: int) -> GateMap:
     sim = _similarity_matrix(grads)
 
     clusters = [[i] for i in range(len(states))]
+    merges = []
     while len(clusters) > n_heads:
         best = None
         best_sim = -np.inf
@@ -150,6 +154,8 @@ def build_gate_map(state_gradients, n_heads: int) -> GateMap:
                 if pair_sim > best_sim:
                     best, best_sim = (a, b), pair_sim
         a, b = best
+        pair = [[list(states[i]) for i in clusters[c]] for c in (a, b)]
+        merges.append({"clusters": pair, "similarity": best_sim})
         clusters[a] = sorted(clusters[a] + clusters[b])
         del clusters[b]
         clusters.sort(key=lambda c: c[0])
@@ -163,28 +169,27 @@ def build_gate_map(state_gradients, n_heads: int) -> GateMap:
         "states": [list(s) for s in states],
         "samples": [sg.samples for sg in grads],
         "similarity": sim.tolist(),
+        "merges": merges,
     }
     return GateMap(n_heads=n_heads, table=table, provenance=provenance).validate()
 
 
 def identity_gate_map(v_states: int, u_classes: int) -> GateMap:
     """One head per composite state, numbered lexicographically by (v, u)."""
-    table = {}
-    head = 1
-    for v in range(v_states):
-        for u in range(u_classes):
-            table[(v, u)] = head
-            head += 1
-    return GateMap(n_heads=head - 1, table=table, provenance={"mode": "identity"}).validate()
+    space = [(v, u) for v in range(v_states) for u in range(u_classes)]
+    table = {state: head for head, state in enumerate(space, start=1)}
+    return GateMap(n_heads=len(space), table=table, provenance={"mode": "identity"}).validate()
 
 
 def manual_gate_map(table: dict, n_heads: int | None = None) -> GateMap:
-    entries = {(int(v), int(u)): int(h) for (v, u), h in table.items()}
+    try:
+        entries = {(int(v), int(u)): int(h) for (v, u), h in table.items()}
+    except (TypeError, ValueError) as exc:
+        raise GateError(f"bad manual gate table: {exc}") from exc
     if not entries:
         raise GateError("manual gate table is empty")
-    heads = set(entries.values())
     if n_heads is None:
-        n_heads = max(heads)
+        n_heads = max(entries.values())
     return GateMap(n_heads=n_heads, table=entries, provenance={"mode": "manual"}).validate()
 
 
@@ -215,11 +220,7 @@ def derive_gate_map(
     provenance) so the table stays total.
     """
     space = [(v, u) for v in range(config.v_states) for u in range(config.u_classes)]
-    populated = []
-    for state in space:
-        v, u = state
-        if any(r.gender == v and np.any(r.stages == u) for r in records):
-            populated.append(state)
+    populated = [(v, u) for v, u in space if any(r.gender == v and np.any(r.stages == u) for r in records)]
     if not populated:
         raise GateError("no (v, u) state is populated by the given records")
     if n_heads > len(populated):
@@ -263,27 +264,26 @@ def gate_map_to_dict(gate_map: GateMap) -> dict:
     return {"n_heads": gate_map.n_heads, "table": table, "provenance": gate_map.provenance}
 
 
+def parse_state_key(key) -> tuple:
+    """The (v, u) state of a "v=…,u=…" gate-table key."""
+    try:
+        v_part, u_part = key.split(",")
+        return int(v_part.removeprefix("v=")), int(u_part.removeprefix("u="))
+    except (AttributeError, ValueError) as exc:
+        raise GateError(f"bad gate-table key {key!r}") from exc
+
+
 def gate_map_from_dict(payload: dict) -> GateMap:
     try:
-        raw_table = payload["table"]
         n_heads = int(payload["n_heads"])
-    except (KeyError, TypeError, ValueError) as exc:
+        table = {parse_state_key(key): int(head) for key, head in payload["table"].items()}
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise GateError(f"bad gate-map payload: {exc}") from exc
-    table = {}
-    for key, head in raw_table.items():
-        try:
-            v_part, u_part = key.split(",")
-            state = (int(v_part.removeprefix("v=")), int(u_part.removeprefix("u=")))
-        except ValueError as exc:
-            raise GateError(f"bad gate-table key {key!r}") from exc
-        table[state] = int(head)
     return GateMap(n_heads=n_heads, table=table, provenance=payload.get("provenance", {})).validate()
 
 
 def save_gate_map(path, gate_map: GateMap) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(gate_map_to_dict(gate_map), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, gate_map_to_dict(gate_map))
 
 
 def load_gate_map(path) -> GateMap:

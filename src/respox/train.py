@@ -19,7 +19,7 @@ from . import model as model_mod
 from .checkpoint import save_checkpoint
 from .config import ConfigError, GateConfig, ModelConfig, TrainConfig
 from .data import normalize_breathing
-from .gate import GateMap, derive_gate_map, identity_gate_map, manual_gate_map
+from .gate import GateMap, derive_gate_map, identity_gate_map, manual_gate_map, parse_state_key
 from .tensor import Tensor, backward
 
 log = logging.getLogger(__name__)
@@ -317,10 +317,7 @@ def resolve_gate_map(
     elif mode == "manual":
         if not gate_cfg.manual_table:
             raise ConfigError("gate mode 'manual' requires a manual_table")
-        table = {}
-        for key, head in gate_cfg.manual_table.items():
-            v_part, u_part = key.split(",")
-            table[(int(v_part.removeprefix("v=")), int(u_part.removeprefix("u=")))] = int(head)
+        table = {parse_state_key(key): head for key, head in gate_cfg.manual_table.items()}
         gate_map = manual_gate_map(table, n_heads=config.n_heads)
     elif mode == "grad-sim":
         if backbone_params is None or records is None:

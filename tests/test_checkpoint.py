@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -138,3 +139,35 @@ def test_manifest_offsets_sorted_and_relative(tmp_path, micro_state):
     for entry in manifest["tensors"]:
         assert entry["byte_offset"] == offset
         offset += 4 * int(np.prod(entry["shape"]))
+
+
+# pinned sha256 of the checkpoint below: any drift in the framing, the
+# manifest or the float section changes it
+GOLDEN_CHECKPOINT_SHA256 = "391bfc6a58e8dacef43eaed89caa85693cb056059983e0c947e6a8f1507f2a36"
+
+
+def test_checkpoint_bytes_match_golden(tmp_path):
+    params = {
+        "encoder.0.conv.weight": Tensor(np.arange(12, dtype=np.float32).reshape(2, 1, 6) / 8, dtype=np.float32),
+        "encoder.0.bn.running_var": Tensor(np.full(2, 1.5, dtype=np.float32), requires_grad=False, dtype=np.float32),
+        "head1.fu.bias": Tensor(np.array([-0.5], dtype=np.float32), dtype=np.float32),
+    }
+    optimizer = {}
+    for name in ("encoder.0.conv.weight", "head1.fu.bias"):
+        optimizer[f"adam.m.{name}"] = np.full(params[name].data.shape, 0.25, dtype=np.float32)
+        optimizer[f"adam.v.{name}"] = np.full(params[name].data.shape, 0.5, dtype=np.float32)
+    path = tmp_path / "golden.ckpt"
+    save_checkpoint(str(path), params, tiny_model_config("micro"), meta={"epoch": 1, "adam_t": 7}, optimizer=optimizer)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_CHECKPOINT_SHA256
+    back = load_checkpoint(str(path))
+    assert set(back.optimizer) == set(optimizer)
+    assert not back.params["encoder.0.bn.running_var"].requires_grad
+
+
+def test_read_manifest_checks_the_float_section(tmp_path, micro_state):
+    cfg, params = micro_state
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(str(path), params, cfg)
+    path.write_bytes(path.read_bytes()[:-4])
+    with pytest.raises(CheckpointError, match="float section"):
+        read_manifest(str(path))

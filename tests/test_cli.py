@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from respox import cli
 from respox.checkpoint import load_checkpoint
 from respox.cli import main
 from respox.config import (
@@ -14,6 +15,7 @@ from respox.config import (
     tiny_model_config,
 )
 from respox.gate import identity_gate_map, save_gate_map
+from respox.model import param_count
 
 @pytest.fixture(scope="module")
 def runner():
@@ -153,6 +155,32 @@ def test_train_gated_writes_gate_map(gated_artifacts):
     assert payload["provenance"]["config_hash"]
     assert payload["provenance"]["tool_version"]
     assert load_checkpoint(str(ckpt)).config.variant == "gated"
+
+
+@pytest.mark.parametrize(
+    "gate",
+    [
+        GateConfig(n_heads=7),
+        GateConfig(n_heads=2, mode="manual", manual_table={"v0u0": 1}),
+        GateConfig(n_heads=2, mode="manual", manual_table={"v=0,u=0": "one"}),
+    ],
+    ids=["more_heads_than_states", "bad_manual_key", "bad_manual_head"],
+)
+def test_train_gated_gate_failure_exits_1(runner, data_dir, tmp_path, gate):
+    cfg = _micro_run_config()
+    cfg.gate = gate
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(run_config_to_dict(cfg)))
+    result = runner.invoke(
+        main,
+        [
+            "train", "--config", str(cfg_path), "--data", str(data_dir),
+            "--variant", "gated", "--out", str(tmp_path / "g.ckpt"),
+        ],
+    )
+    assert result.exit_code == 1, result.output
+    assert "gate map construction failed" in result.stderr
+    assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
 # ---------------------------------------------------------------- gatemap
@@ -328,6 +356,27 @@ def test_inspect_reports_counts(runner, backbone_ckpt):
     assert "26,821,113" in result.output
     listed = runner.invoke(main, ["inspect", "--ckpt", str(backbone_ckpt), "--tensors"])
     assert "encoder.0.conv.weight" in listed.output
+
+
+def test_inspect_reads_only_the_manifest(runner, gated_artifacts, monkeypatch):
+    ckpt, _ = gated_artifacts
+    loaded = load_checkpoint(str(ckpt))
+    total = sum(t.data.size for t in loaded.params.values())
+    expected = [
+        f"parameters: {param_count(loaded.params):,} trainable, {total:,} with buffers "
+        "(full-scale reference: 26,821,113)",
+        f"optimizer tensors: {len(loaded.optimizer)}",
+    ] + [f"  {name}  {loaded.params[name].data.shape}  float32" for name in sorted(loaded.params)]
+    before = runner.invoke(main, ["inspect", "--ckpt", str(ckpt), "--tensors"])
+
+    def refuse(path):
+        raise AssertionError("inspect must not load tensors")
+
+    monkeypatch.setattr(cli, "load_checkpoint", refuse)
+    result = runner.invoke(main, ["inspect", "--ckpt", str(ckpt), "--tensors"])
+    assert result.exit_code == 0, result.output
+    assert result.output == before.output
+    assert result.output.splitlines()[-len(expected):] == expected
 
 
 def test_inspect_rejects_truncated_checkpoint(runner, backbone_ckpt, tmp_path):

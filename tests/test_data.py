@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from respox import container
 from respox.data import (
     BadMagicError,
     LengthMismatchError,
@@ -86,6 +89,38 @@ def test_truncation_detected(tmp_path):
     path.write_bytes(raw[: len(raw) - 7])
     with pytest.raises(TruncatedRecordError):
         read_record(str(path))
+
+
+def test_short_array_read_detected(tmp_path, monkeypatch):
+    # a file that shrinks after its size was checked: the array read itself must notice
+    path = tmp_path / "x.rsp"
+    write_record(make_record(), str(path))
+    path.write_bytes(path.read_bytes()[:-7])
+    monkeypatch.setattr(container, "check_body", lambda *args: None)
+    with pytest.raises(TruncatedRecordError, match="stages truncated"):
+        read_record(str(path))
+
+
+# pinned sha256 of the record below: any drift in the framing, the header or
+# the body changes it
+GOLDEN_RECORD_SHA256 = "0614c7d872a258e86fef9cf707e16cac7f045e2f0c9060c4bdca81e42def59e3"
+
+
+def test_record_bytes_match_golden(tmp_path):
+    record = Record(
+        subject_id="golden",
+        dataset_id="unit",
+        fb=2,
+        fo=1,
+        breathing=np.linspace(-1.5, 2.0, 24, dtype=np.float32),
+        spo2=np.arange(88, 100, dtype=np.float32),
+        stages=np.array([0, 1, 2, 255] * 3, dtype=np.uint8),
+        gender=1,
+        vars={"age": 61, "bmi": 27},
+    )
+    path = tmp_path / "golden.rsp"
+    write_record(record, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_RECORD_SHA256
 
 
 def test_trailing_garbage_detected(tmp_path):

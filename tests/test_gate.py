@@ -16,6 +16,7 @@ from respox.gate import (
     identity_gate_map,
     load_gate_map,
     manual_gate_map,
+    parse_state_key,
     save_gate_map,
     state_gradient,
 )
@@ -85,6 +86,20 @@ def test_single_head_merges_everything():
     grads = [_sg((0, u), rng.normal(size=5)) for u in range(3)]
     gm = build_gate_map(grads, n_heads=1)
     assert set(gm.table.values()) == {1}
+
+
+def test_provenance_records_merge_order():
+    rng = np.random.default_rng(4)
+    grads = [_sg((v, u), rng.normal(size=6)) for v in range(2) for u in range(3)]
+    gm = build_gate_map(grads, n_heads=2)
+    merges = gm.provenance["merges"]
+    assert len(merges) == 6 - 2
+    merged = {tuple(state) for merge in merges for cluster in merge["clusters"] for state in cluster}
+    assert merged <= {sg.state for sg in grads}
+    sim = np.asarray(gm.provenance["similarity"])
+    assert merges[0]["similarity"] == np.max(sim[~np.eye(6, dtype=bool)])
+    assert all(len(m["clusters"]) == 2 and all(m["clusters"]) for m in merges)
+    assert build_gate_map(grads, n_heads=2).provenance["merges"] == merges
 
 
 def test_duplicate_states_rejected():
@@ -161,6 +176,13 @@ def test_json_roundtrip(tmp_path):
     assert gate_map_from_dict(gate_map_to_dict(gm)).table == gm.table
 
 
+def test_state_key_parser():
+    assert parse_state_key("v=1,u=2") == (1, 2)
+    for bad in ("v0u0", "v=1", "v=a,u=0", 3):
+        with pytest.raises(GateError, match="bad gate-table key"):
+            parse_state_key(bad)
+
+
 def test_load_rejects_bad_payloads(tmp_path):
     path = tmp_path / "gate.json"
     path.write_text("{not json")
@@ -170,6 +192,12 @@ def test_load_rejects_bad_payloads(tmp_path):
         gate_map_from_dict({"table": {"v=0,u=0": 1}})  # missing n_heads
     with pytest.raises(GateError):
         gate_map_from_dict({"n_heads": 1, "table": {"nonsense": 1}})
+
+
+@pytest.mark.parametrize("table", [{"v=0,u=0": "x"}, {"v=0,u=0": None}, [["v=0,u=0", 1]]])
+def test_load_rejects_bad_table_values(table):
+    with pytest.raises(GateError, match="bad gate-map payload"):
+        gate_map_from_dict({"n_heads": 1, "table": table})
 
 
 # ---------------------------------------------------------------- derivation
