@@ -167,7 +167,6 @@ def train_cmd(config_path, data_dir, variant, out, log_out, gate_map_out, seed, 
                 records,
                 cfg.train,
                 cfg.gate,
-                normalize=cfg.data.normalize,
                 checkpoint_path=out,
                 config_hash=digest,
             )
@@ -181,7 +180,6 @@ def train_cmd(config_path, data_dir, variant, out, log_out, gate_map_out, seed, 
                 cfg.model,
                 records,
                 cfg.train,
-                normalize=cfg.data.normalize,
                 checkpoint_path=out,
                 config_hash=digest,
             )
@@ -233,7 +231,6 @@ def gatemap(ckpt, config_path, data_dir, n_heads, mode, out):
             backbone_config=checkpoint.config,
             records=records,
             corr_weight=cfg.train.corr_weight,
-            normalize=cfg.data.normalize,
         )
     except (GateError, ConfigError) as exc:
         _fail(EXIT_FAILURE, f"gate map construction failed: {exc}")
@@ -291,7 +288,6 @@ def eval_cmd(ckpt, config_path, data_dir, gate_map_path, split, group_by, dump_d
             checkpoint.config,
             records,
             gate_map,
-            normalize=cfg.data.normalize,
             config_hash=checkpoint.meta.get("config_hash"),
             checkpoint_id=os.path.basename(ckpt),
             group_var=cfg.eval.group_var,

@@ -135,7 +135,6 @@ class ModelConfig:
 class TrainConfig:
     lr: float = 2e-4
     epochs: int = 500
-    batch: int = 1
     seed: int = 0
     corr_weight: float = 0.2      # JSON key "lambda"
     aux_weight: float = 1.0       # JSON key "lambda_u"
@@ -148,8 +147,6 @@ class TrainConfig:
             raise ConfigError(f"lr must be >= 0, got {self.lr}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch != 1:
-            raise ConfigError(f"training runs one night per step, batch must be 1, got {self.batch}")
         if self.corr_weight < 0 or self.aux_weight < 0:
             raise ConfigError("loss weights lambda and lambda_u must be >= 0")
         if not 0.0 < self.pretrain_fraction < 1.0:
@@ -180,7 +177,6 @@ class DataConfig:
     dir: str | None = None
     split_ratio: float = 0.7
     split_seed: int = 0
-    normalize: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.split_ratio < 1.0:
@@ -286,10 +282,10 @@ def config_hash(cfg) -> str:
     """Stable digest of a RunConfig (or an already-serialized payload dict).
 
     The hash pins what produced an artifact: model, training, gating, and
-    the data semantics (split, normalization). The data directory is a
-    storage location and the eval section a readout choice, so neither
-    participates; reproducing a run from a different path or reporting it
-    with different aggregation keeps its hash.
+    the data split. The data directory is a storage location and the eval
+    section a readout choice, so neither participates; reproducing a run
+    from a different path or reporting it with different aggregation keeps
+    its hash.
     """
     payload = cfg if isinstance(cfg, dict) else run_config_to_dict(cfg)
     payload = json.loads(json.dumps(payload))

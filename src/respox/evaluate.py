@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model as model_mod
-from .data import normalize_breathing
 from .tensor import no_grad
 
 log = logging.getLogger(__name__)
@@ -141,11 +140,9 @@ def metrics(y_hat_seg: np.ndarray, y_seg: np.ndarray) -> SegmentMetrics:
 # ---------------------------------------------------------------- prediction
 
 
-def predict_record(params, config, record, gate_map=None, *, normalize: bool = True):
+def predict_record(params, config, record, gate_map=None):
     """Eval-mode forward over one night; returns (y_hat_pct, prediction)."""
-    x_np = normalize_breathing(record) if normalize else record.breathing.astype(np.float64)
-    v = record.gender if config.variant in ("varaug", "gated") else None
-    x = model_mod.as_input(x_np, params, v=v if config.variant == "varaug" else None)
+    x, v = model_mod.night_input(params, config, record)
     with no_grad():
         pred = model_mod.forward(params, config, x, v=v, gate_map=gate_map, mode="eval")
     y_hat_pct = pred.y_hat.data.astype(np.float64) * 100.0
@@ -191,7 +188,6 @@ def evaluate(
     records,
     gate_map=None,
     *,
-    normalize: bool = True,
     seg_len: int = SEGMENT_LEN_S,
     config_hash: str | None = None,
     checkpoint_id: str | None = None,
@@ -211,7 +207,7 @@ def evaluate(
     nights = []
     by_dataset: dict[str, list[list[SegmentMetrics]]] = {}
     for record in records:
-        y_hat, pred = predict_record(params, config, record, gate_map, normalize=normalize)
+        y_hat, pred = predict_record(params, config, record, gate_map)
         nights.append((record, y_hat, pred.gate_series))
         segs = [metrics(h, t) for h, t in segment(y_hat, record.spo2, seg_len)]
         by_dataset.setdefault(record.dataset_id, []).append(segs)

@@ -19,7 +19,6 @@ import numpy as np
 from . import model as model_mod
 from .config import ModelConfig
 from .container import write_json
-from .data import normalize_breathing
 from .tensor import backward, take
 
 log = logging.getLogger(__name__)
@@ -72,7 +71,6 @@ def state_gradient(
     records,
     state: tuple,
     corr_weight: float = 0.2,
-    normalize: bool = True,
 ) -> StateGradient:
     """Average loss gradient over the seconds of one (gender, stage) state.
 
@@ -90,14 +88,13 @@ def state_gradient(
         mask = record.stages == u
         if not np.any(mask):
             continue
-        x_np = normalize_breathing(record) if normalize else record.breathing.astype(np.float64)
-        x = model_mod.as_input(x_np, params)
+        x, v_in = model_mod.night_input(params, config, record)
         y = record.spo2.astype(np.float64) / 100.0
         for name in names:
             params[name].grad = None
-        pred = model_mod.forward(params, config, x, mode="eval")
+        pred = model_mod.forward(params, config, x, v=v_in, mode="eval")
         idx = np.nonzero(mask)[0]
-        loss = model_mod.loss_main(take(pred.y_hat, idx, axis=0), y[idx], corr_weight)
+        loss, _ = model_mod.loss(take(pred.y_hat, idx, axis=0), y[idx], corr_weight)
         backward(loss)
         per_record.append(flatten_grads(params, names))
     if not per_record:
@@ -174,9 +171,14 @@ def build_gate_map(state_gradients, n_heads: int) -> GateMap:
     return GateMap(n_heads=n_heads, table=table, provenance=provenance).validate()
 
 
+def state_space(v_states: int, u_classes: int) -> list:
+    """Every (v, u) pair, in lexicographic order."""
+    return [(v, u) for v in range(v_states) for u in range(u_classes)]
+
+
 def identity_gate_map(v_states: int, u_classes: int) -> GateMap:
     """One head per composite state, numbered lexicographically by (v, u)."""
-    space = [(v, u) for v in range(v_states) for u in range(u_classes)]
+    space = state_space(v_states, u_classes)
     table = {state: head for head, state in enumerate(space, start=1)}
     return GateMap(n_heads=len(space), table=table, provenance={"mode": "identity"}).validate()
 
@@ -205,13 +207,26 @@ def gate_lookup(gate_map: GateMap, v: int, u_series) -> np.ndarray:
     return out
 
 
+def populated_states(config: ModelConfig, records) -> list:
+    """The (v, u) states of the config's space that some record carries, in order."""
+    space = state_space(config.v_states, config.u_classes)
+    return [(v, u) for v, u in space if any(r.gender == v and np.any(r.stages == u) for r in records)]
+
+
+def check_head_count(n_heads: int, populated: list) -> None:
+    """Gradient similarity can merge the populated states into 1..len(populated) heads."""
+    if not populated:
+        raise GateError("no (v, u) state is populated by the given records")
+    if n_heads > len(populated):
+        raise GateError(f"n_heads={n_heads} exceeds the {len(populated)} populated states")
+
+
 def derive_gate_map(
     params: dict,
     config: ModelConfig,
     records,
     n_heads: int,
     corr_weight: float = 0.2,
-    normalize: bool = True,
 ) -> GateMap:
     """Gradient-similarity gate map over the config's full (v, u) state space.
 
@@ -219,22 +234,15 @@ def derive_gate_map(
     same accessible value and nearest stage (warned about, and listed in the
     provenance) so the table stays total.
     """
-    space = [(v, u) for v in range(config.v_states) for u in range(config.u_classes)]
-    populated = [(v, u) for v, u in space if any(r.gender == v and np.any(r.stages == u) for r in records)]
-    if not populated:
-        raise GateError("no (v, u) state is populated by the given records")
-    if n_heads > len(populated):
-        raise GateError(
-            f"n_heads={n_heads} exceeds the {len(populated)} populated states"
-        )
+    populated = populated_states(config, records)
+    check_head_count(n_heads, populated)
     gradients = [
-        state_gradient(params, config, records, state, corr_weight=corr_weight, normalize=normalize)
-        for state in populated
+        state_gradient(params, config, records, state, corr_weight=corr_weight) for state in populated
     ]
     gate_map = build_gate_map(gradients, n_heads)
 
     filled = {}
-    for state in space:
+    for state in state_space(config.v_states, config.u_classes):
         if state in gate_map.table:
             continue
         v, u = state

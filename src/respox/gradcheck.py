@@ -284,7 +284,7 @@ def run_model_suite(seed: int = 0) -> list[CheckResult]:
 
         def fn(*weights):
             pred = model_mod.forward(params, cfg, x, mode="eval")
-            return model_mod.loss_main(pred.y_hat, y, corr_weight=0.2)
+            return model_mod.loss(pred.y_hat, y, corr_weight=0.2)[0]
 
         return fn, tensors
 

@@ -21,11 +21,11 @@ import numpy as np
 
 from . import kernels
 from .config import (
-    DECODER_UP_FACTOR,
     ENCODER_DOWN_FACTOR,
     ConfigError,
     ModelConfig,
 )
+from .data import normalize_breathing
 from .tensor import (
     ShapeError,
     Tensor,
@@ -356,6 +356,14 @@ def as_input(breathing: np.ndarray, params: ModelParams, v: int | None = None) -
     return Tensor(x, dtype=dtype)
 
 
+def night_input(params: ModelParams, config: ModelConfig, record) -> tuple[Tensor, int | None]:
+    """One night as model input: z-scored breathing packed [C, L], plus the
+    accessible state v for varaug and gated (None otherwise)."""
+    v = record.gender if config.variant in ("varaug", "gated") else None
+    x = as_input(normalize_breathing(record), params, v=v if config.variant == "varaug" else None)
+    return x, v
+
+
 def forward(
     params: ModelParams,
     config: ModelConfig,
@@ -368,10 +376,11 @@ def forward(
 ) -> Prediction:
     """Full forward pass for any variant.
 
-    Gated models gate on ground-truth stages in train mode (missing labels
-    fall back to the non-REM entry) and on predicted stages in eval mode.
-    The stage head runs after the decoder heads in train mode so its rrelu
-    draws never perturb the shared modules' sample stream.
+    The stage head runs once, after the decoder heads, so its rrelu draws
+    never perturb the shared modules' sample stream.  Gated models then pick
+    each second's head from the stage labels u in train mode (missing labels
+    fall back to the non-REM entry) or from the stage head's argmax in eval
+    mode.
     """
     if config.variant == "varaug" and v is None:
         raise ConfigError("varaug forward requires the accessible state v")
@@ -382,6 +391,8 @@ def forward(
             raise ConfigError("gated forward requires a gate map")
         if v is None:
             raise ConfigError("gated forward requires the accessible state v")
+        if mode == "train" and u is None:
+            raise ConfigError("gated train-mode forward requires ground-truth stages u")
 
     features, skips = encode(params, config, x, mode=mode, rng=rng)
 
@@ -394,29 +405,20 @@ def forward(
     t_out = per_head.shape[1]
 
     u_logits = None
-    gate_series = None
-    if config.variant == "gated":
-        if mode == "train":
-            if u is None:
-                raise ConfigError("gated train-mode forward requires ground-truth stages u")
-            u_arr = np.asarray(u)
-            if u_arr.shape != (t_out,):
-                raise ShapeError(f"stage series must have shape ({t_out},), got {u_arr.shape}")
-            fallback = min(2, config.u_classes - 1)
-            u_for_gate = np.where(u_arr == 255, fallback, u_arr)
-            gate_series = gate_lookup(gate_map, v, u_for_gate)
-            y_hat = combine_heads(per_head, gate_series)
-            u_logits = predict_inaccessible(params, config, features, mode=mode, rng=rng)
-        else:
-            u_logits = predict_inaccessible(params, config, features, mode=mode, rng=rng)
-            u_hat = np.argmax(u_logits.data, axis=0)
-            gate_series = gate_lookup(gate_map, v, u_hat)
-            y_hat = combine_heads(per_head, gate_series)
-    else:
-        y_hat = per_head.reshape(t_out)
-        if has_stage_head(config):
-            u_logits = predict_inaccessible(params, config, features, mode=mode, rng=rng)
+    if has_stage_head(config):
+        u_logits = predict_inaccessible(params, config, features, mode=mode, rng=rng)
+    if config.variant != "gated":
+        return Prediction(y_hat=per_head.reshape(t_out), per_head=per_head, u_logits=u_logits)
 
+    if mode == "train":
+        u_gate = np.asarray(u)
+        if u_gate.shape != (t_out,):
+            raise ShapeError(f"stage series must have shape ({t_out},), got {u_gate.shape}")
+        u_gate = np.where(u_gate == 255, min(2, config.u_classes - 1), u_gate)
+    else:
+        u_gate = np.argmax(u_logits.data, axis=0)
+    gate_series = gate_lookup(gate_map, v, u_gate)
+    y_hat = combine_heads(per_head, gate_series)
     return Prediction(y_hat=y_hat, per_head=per_head, u_logits=u_logits, gate_series=gate_series)
 
 
@@ -466,31 +468,32 @@ def stage_ce_sum(u_logits: Tensor, u: np.ndarray) -> Tensor:
     return -(logp * Tensor(onehot, dtype=u_logits.dtype)).sum()
 
 
-def loss_main(y_hat: Tensor, y, corr_weight: float) -> Tensor:
-    """Mean absolute error minus corr_weight times Pearson correlation."""
-    if corr_weight < 0:
-        raise ConfigError(f"corr weight must be >= 0, got {corr_weight}")
-    l1, corr = loss_components(y_hat, y)
-    return l1 - corr_weight * corr
-
-
-def loss_gbu(
+def loss(
     y_hat: Tensor,
-    u_logits: Tensor,
     y,
-    u: np.ndarray,
     corr_weight: float,
-    aux_weight: float,
-) -> Tensor:
-    """loss_main plus aux_weight/T times the summed stage cross-entropy.
+    u_logits: Tensor | None = None,
+    u: np.ndarray | None = None,
+    aux_weight: float = 0.0,
+) -> tuple[Tensor, dict]:
+    """The training objective and its float terms {l1, corr, ce} for the log.
 
-    Seconds labeled 255 (missing) are excluded from the cross-entropy sum;
-    the normalizer stays the full series length.
+    Mean absolute error minus corr_weight times Pearson correlation; when
+    stage logits are given and aux_weight is nonzero, plus aux_weight/T times
+    the summed stage cross-entropy.  Seconds labeled 255 (missing) are
+    excluded from the cross-entropy sum; the normalizer stays the full
+    series length.
     """
-    if aux_weight < 0:
-        raise ConfigError(f"aux weight must be >= 0, got {aux_weight}")
-    base = loss_main(y_hat, y, corr_weight)
-    t = y_hat.shape[0]
-    if u_logits.ndim != 2 or u_logits.shape[1] != t:
-        raise ShapeError(f"u_logits must be [classes, {t}], got {u_logits.shape}")
-    return base + (aux_weight / t) * stage_ce_sum(u_logits, u)
+    if corr_weight < 0 or aux_weight < 0:
+        raise ConfigError(f"loss weights must be >= 0, got corr {corr_weight}, aux {aux_weight}")
+    l1, corr = loss_components(y_hat, y)
+    total = l1 - corr_weight * corr
+    ce = 0.0
+    if u_logits is not None and aux_weight != 0.0:
+        t = y_hat.shape[0]
+        if u_logits.ndim != 2 or u_logits.shape[1] != t:
+            raise ShapeError(f"u_logits must be [classes, {t}], got {u_logits.shape}")
+        ce_sum = stage_ce_sum(u_logits, u)
+        total = total + (aux_weight / t) * ce_sum
+        ce = float(ce_sum)
+    return total, {"l1": float(l1), "corr": float(corr), "ce": ce}

@@ -18,8 +18,15 @@ from . import __version__
 from . import model as model_mod
 from .checkpoint import save_checkpoint
 from .config import ConfigError, GateConfig, ModelConfig, TrainConfig
-from .data import normalize_breathing
-from .gate import GateMap, derive_gate_map, identity_gate_map, manual_gate_map, parse_state_key
+from .gate import (
+    GateMap,
+    check_head_count,
+    derive_gate_map,
+    identity_gate_map,
+    manual_gate_map,
+    parse_state_key,
+    populated_states,
+)
 from .tensor import Tensor, backward
 
 log = logging.getLogger(__name__)
@@ -133,21 +140,6 @@ def write_train_log(path, train_log: TrainLog) -> None:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def _prepare_nights(records, normalize: bool) -> list:
-    nights = []
-    for record in records:
-        x = normalize_breathing(record) if normalize else record.breathing.astype(np.float64)
-        nights.append(
-            {
-                "x": x,
-                "y": record.spo2.astype(np.float64) / 100.0,
-                "u": record.stages,
-                "v": record.gender,
-            }
-        )
-    return nights
-
-
 def train(
     config: ModelConfig,
     records,
@@ -155,7 +147,6 @@ def train(
     params: dict | None = None,
     gate_map: GateMap | None = None,
     *,
-    normalize: bool = True,
     start_epoch: int = 0,
     end_epoch: int | None = None,
     adam: AdamState | None = None,
@@ -175,7 +166,6 @@ def train(
     if config.variant == "gated" and gate_map is None:
         raise ConfigError("gated training requires a gate map")
 
-    nights = _prepare_nights(records, normalize)
     if params is None:
         params = model_mod.build_model(config, seed=train_cfg.seed)
     if adam is None:
@@ -186,35 +176,22 @@ def train(
     train_log = TrainLog(seed=train_cfg.seed, config_hash=config_hash)
     clip_norm = train_cfg.grad_clip
     seed = train_cfg.seed
-    aux = train_cfg.aux_weight if config.variant in ("varaug", "gated") else 0.0
 
     for epoch in range(start_epoch, end_epoch):
         t0 = time.perf_counter()
-        order = np.random.default_rng(np.random.SeedSequence([seed, epoch])).permutation(len(nights))
+        order = np.random.default_rng(np.random.SeedSequence([seed, epoch])).permutation(len(records))
         sums = {"l1": 0.0, "corr": 0.0, "ce": 0.0, "loss": 0.0}
         for step, night_index in enumerate(order):
-            night = nights[night_index]
+            record = records[night_index]
             rng = np.random.default_rng(np.random.SeedSequence([seed, epoch, step]))
-            v = night["v"] if config.variant in ("varaug", "gated") else None
-            x = model_mod.as_input(night["x"], params, v=v if config.variant == "varaug" else None)
+            x, v = model_mod.night_input(params, config, record)
             pred = model_mod.forward(
-                params,
-                config,
-                x,
-                v=v,
-                u=night["u"] if config.variant == "gated" else None,
-                gate_map=gate_map,
-                mode="train",
-                rng=rng,
+                params, config, x, v=v, u=record.stages, gate_map=gate_map, mode="train", rng=rng
             )
-            l1, corr = model_mod.loss_components(pred.y_hat, night["y"])
-            loss = l1 - train_cfg.corr_weight * corr
-            ce_value = 0.0
-            if aux != 0.0 and pred.u_logits is not None:
-                ce = model_mod.stage_ce_sum(pred.u_logits, night["u"])
-                loss = loss + (aux / pred.y_hat.shape[0]) * ce
-                ce_value = float(ce)
-
+            y = record.spo2.astype(np.float64) / 100.0
+            loss, terms = model_mod.loss(
+                pred.y_hat, y, train_cfg.corr_weight, pred.u_logits, record.stages, train_cfg.aux_weight
+            )
             loss_value = float(loss)
             if not np.isfinite(loss_value):
                 if clip_norm > 0.0:
@@ -237,22 +214,12 @@ def train(
             if clip_norm > 0.0:
                 clip_gradients(params, clip_norm)
             adam_step(params, adam)
-            sums["l1"] += float(l1)
-            sums["corr"] += float(corr)
-            sums["ce"] += ce_value
+            for key, value in terms.items():
+                sums[key] += value
             sums["loss"] += loss_value
 
-        n = len(nights)
-        train_log.entries.append(
-            {
-                "epoch": epoch,
-                "l1": sums["l1"] / n,
-                "corr": sums["corr"] / n,
-                "ce": sums["ce"] / n,
-                "loss": sums["loss"] / n,
-                "wall_s": time.perf_counter() - t0,
-            }
-        )
+        means = {key: total / len(records) for key, total in sums.items()}
+        train_log.entries.append({"epoch": epoch, **means, "wall_s": time.perf_counter() - t0})
         if (
             checkpoint_path is not None
             and train_cfg.checkpoint_every > 0
@@ -309,7 +276,6 @@ def resolve_gate_map(
     backbone_config: ModelConfig | None = None,
     records=None,
     corr_weight: float = 0.2,
-    normalize: bool = True,
 ) -> GateMap:
     """Build the gate map named by `mode`, sized to the model's head count."""
     if mode == "identity":
@@ -323,12 +289,7 @@ def resolve_gate_map(
         if backbone_params is None or records is None:
             raise ConfigError("gate mode 'grad-sim' requires a pretrained backbone and records")
         gate_map = derive_gate_map(
-            backbone_params,
-            backbone_config,
-            records,
-            config.n_heads,
-            corr_weight=corr_weight,
-            normalize=normalize,
+            backbone_params, backbone_config, records, config.n_heads, corr_weight=corr_weight
         )
     else:
         raise ConfigError(f"unknown gate mode {mode!r}")
@@ -345,45 +306,44 @@ def train_gated_pipeline(
     train_cfg: TrainConfig,
     gate_cfg: GateConfig | None = None,
     *,
-    normalize: bool = True,
     checkpoint_path=None,
     config_hash: str | None = None,
 ) -> tuple[dict, GateMap, TrainLog]:
     """Pretrain a backbone, derive the gate map, then fine-tune the gated model.
 
-    Phase 1 trains a single-head backbone for a pretrain_fraction share of
-    the epoch budget.  Phase 2 maps states to heads (gradient similarity by
-    default).  Phase 3 copies the backbone into every head and trains the
-    gated variant over the remaining epochs, gating on ground-truth stages.
-    Phase 3 restarts the optimizer; epoch numbering continues, so phases
-    share one shuffle/sample seed stream.
+    The gate configuration is checked first: identity and manual maps are
+    resolved outright, and a grad-sim head count above the populated states
+    fails, all before any training.  Phase 1 trains a single-head backbone
+    for a pretrain_fraction share of the epoch budget.  Phase 2 derives the
+    grad-sim map from it.  Phase 3 copies the backbone into every head and
+    trains the gated variant over the remaining epochs, gating on
+    ground-truth stages.  Phase 3 restarts the optimizer; epoch numbering
+    continues, so phases share one shuffle/sample seed stream.
     """
     if config.variant != "gated":
         raise ConfigError(f"pipeline requires variant 'gated', got {config.variant!r}")
     gate_cfg = gate_cfg or GateConfig()
+    gate_map = None
+    if gate_cfg.mode != "grad-sim":
+        gate_map = resolve_gate_map(gate_cfg.mode, config, gate_cfg)
+    else:
+        check_head_count(config.n_heads, populated_states(config, records))
     pre = pretrain_epochs(train_cfg)
 
     backbone_cfg = replace(config, variant="backbone", n_heads=1)
     backbone_params, _, log1 = train(
-        backbone_cfg,
-        records,
-        train_cfg,
-        normalize=normalize,
-        start_epoch=0,
-        end_epoch=pre,
-        config_hash=config_hash,
+        backbone_cfg, records, train_cfg, start_epoch=0, end_epoch=pre, config_hash=config_hash
     )
-
-    gate_map = resolve_gate_map(
-        gate_cfg.mode,
-        config,
-        gate_cfg,
-        backbone_params=backbone_params,
-        backbone_config=backbone_cfg,
-        records=records,
-        corr_weight=train_cfg.corr_weight,
-        normalize=normalize,
-    )
+    if gate_map is None:
+        gate_map = resolve_gate_map(
+            gate_cfg.mode,
+            config,
+            gate_cfg,
+            backbone_params=backbone_params,
+            backbone_config=backbone_cfg,
+            records=records,
+            corr_weight=train_cfg.corr_weight,
+        )
 
     gated_params = model_mod.build_model(config, seed=train_cfg.seed)
     copy_backbone_into_gated(backbone_params, gated_params, config.n_heads)
@@ -393,7 +353,6 @@ def train_gated_pipeline(
         train_cfg,
         params=gated_params,
         gate_map=gate_map,
-        normalize=normalize,
         start_epoch=pre,
         end_epoch=train_cfg.epochs,
         checkpoint_path=checkpoint_path,

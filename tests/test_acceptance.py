@@ -16,6 +16,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from respox.checkpoint import load_checkpoint, save_checkpoint
 from respox.config import (
@@ -202,6 +203,7 @@ def test_criterion_07_gate_map_recovers_generating_partition(capsys):
     _report(capsys, 7, f"generating partition recovered in {hits}/10 seeds")
 
 
+@pytest.mark.slow
 def test_criterion_08_gating_beats_backbone_and_varaug(capsys):
     """Mean test MAE over 5 seeds: gated < backbone and gated <= varaug.
 

@@ -4,6 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from respox import cli
+from respox import train as train_mod
 from respox.checkpoint import load_checkpoint
 from respox.cli import main
 from respox.config import (
@@ -166,11 +167,14 @@ def test_train_gated_writes_gate_map(gated_artifacts):
     ],
     ids=["more_heads_than_states", "bad_manual_key", "bad_manual_head"],
 )
-def test_train_gated_gate_failure_exits_1(runner, data_dir, tmp_path, gate):
+def test_train_gated_gate_failure_exits_1(runner, data_dir, tmp_path, gate, monkeypatch):
     cfg = _micro_run_config()
     cfg.gate = gate
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(run_config_to_dict(cfg)))
+    steps = []
+    adam_step = train_mod.adam_step
+    monkeypatch.setattr(train_mod, "adam_step", lambda *args: steps.append(1) or adam_step(*args))
     result = runner.invoke(
         main,
         [
@@ -181,6 +185,20 @@ def test_train_gated_gate_failure_exits_1(runner, data_dir, tmp_path, gate):
     assert result.exit_code == 1, result.output
     assert "gate map construction failed" in result.stderr
     assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert not steps, "the gate config must fail before backbone pretraining"
+
+
+@pytest.mark.parametrize("section,key", [("train", "batch"), ("data", "normalize")])
+def test_train_rejects_removed_config_keys(runner, data_dir, tmp_path, section, key):
+    payload = run_config_to_dict(_micro_run_config())
+    payload[section][key] = 1
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(payload))
+    result = runner.invoke(
+        main, ["train", "--config", str(cfg_path), "--data", str(data_dir), "--out", str(tmp_path / "b.ckpt")]
+    )
+    assert result.exit_code == 2, result.output
+    assert f"unknown key {key!r}" in result.stderr
 
 
 # ---------------------------------------------------------------- gatemap

@@ -66,8 +66,6 @@ def test_full_width_hosts_six_heads_via_floor():
 
 def test_train_config_bounds():
     with pytest.raises(ConfigError):
-        TrainConfig(batch=2)
-    with pytest.raises(ConfigError):
         TrainConfig(pretrain_fraction=1.0)
     with pytest.raises(ConfigError):
         TrainConfig(lr=-1e-4)
@@ -91,6 +89,14 @@ def test_unknown_keys_rejected():
         run_config_from_dict({"model": {"kernel": 7}})
     with pytest.raises(ConfigError):
         run_config_from_dict({"optimizer": {}})
+
+
+@pytest.mark.parametrize(
+    "payload", [{"train": {"batch": 1}}, {"data": {"normalize": True}}], ids=["batch", "normalize"]
+)
+def test_removed_knobs_are_unknown_keys(payload):
+    with pytest.raises(ConfigError):
+        run_config_from_dict(payload)
 
 
 def test_train_section_loss_weight_aliases():

@@ -13,9 +13,8 @@ from respox.model import (
     build_model,
     combine_heads,
     forward,
+    loss,
     loss_components,
-    loss_gbu,
-    loss_main,
     param_count,
     stage_ce_sum,
 )
@@ -147,12 +146,12 @@ def test_loss_components_match_numpy_formulas():
     np.testing.assert_allclose(float(corr), expected_corr, atol=1e-6)
 
 
-def test_loss_main_weighting():
+def test_loss_weighting():
     y_hat = Tensor(np.array([1.0, 2.0, 3.0]), dtype=np.float64)
     y = np.array([1.5, 2.0, 2.5])
     l1, corr = loss_components(y_hat, y)
     np.testing.assert_allclose(
-        float(loss_main(y_hat, y, 0.2)), float(l1) - 0.2 * float(corr), atol=1e-12
+        float(loss(y_hat, y, 0.2)[0]), float(l1) - 0.2 * float(corr), atol=1e-12
     )
 
 
@@ -172,18 +171,40 @@ def test_stage_ce_sums_over_labeled_seconds_only():
     np.testing.assert_allclose(float(ce), expected, atol=1e-10)
 
 
-def test_loss_gbu_adds_scaled_stage_term():
+def _loss_fixture():
     rng = np.random.default_rng(2)
     y_hat = Tensor(rng.normal(size=12), dtype=np.float64)
     y = rng.normal(size=12)
     logits = Tensor(rng.normal(size=(3, 12)), dtype=np.float64)
     u = rng.integers(0, 3, size=12).astype(np.uint8)
-    base = float(loss_main(y_hat, y, 0.2))
-    with_aux = float(loss_gbu(y_hat, logits, y, u, 0.2, 1.0))
-    assert with_aux > base
+    return y_hat, y, logits, u
+
+
+def test_loss_adds_scaled_stage_term():
+    y_hat, y, logits, u = _loss_fixture()
+    base = float(loss(y_hat, y, 0.2)[0])
+    with_aux, terms = loss(y_hat, y, 0.2, logits, u, 1.0)
+    assert float(with_aux) > base
     np.testing.assert_allclose(
-        with_aux - base, float(stage_ce_sum(logits, u)) / 12.0, atol=1e-10
+        float(with_aux) - base, float(stage_ce_sum(logits, u)) / 12.0, atol=1e-10
     )
+    assert terms["ce"] == float(stage_ce_sum(logits, u))
+
+
+def test_loss_with_zero_aux_weight_skips_stage_term():
+    y_hat, y, logits, u = _loss_fixture()
+    base, base_terms = loss(y_hat, y, 0.2)
+    with_logits, terms = loss(y_hat, y, 0.2, logits, u, 0.0)
+    assert float(with_logits) == float(base)
+    assert terms == base_terms
+    assert terms["ce"] == 0.0
+
+
+@pytest.mark.parametrize("weights", [(-0.1, 0.0), (0.2, -1.0)], ids=["corr", "aux"])
+def test_loss_rejects_negative_weights(weights):
+    y_hat, y, logits, u = _loss_fixture()
+    with pytest.raises(ConfigError):
+        loss(y_hat, y, weights[0], logits, u, weights[1])
 
 
 def test_param_count_depends_on_architecture_not_seed():
