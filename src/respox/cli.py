@@ -183,7 +183,7 @@ def train_cmd(config_path, data_dir, variant, out, log_out, gate_map_out, seed, 
                 checkpoint_path=out,
                 config_hash=digest,
             )
-    except TrainingError as exc:
+    except (TrainingError, model_mod.LengthError) as exc:
         _fail(EXIT_FAILURE, f"training failed: {exc}")
     except (GateError, ConfigError) as exc:
         _fail(EXIT_FAILURE, f"gate map construction failed: {exc}")
@@ -232,7 +232,7 @@ def gatemap(ckpt, config_path, data_dir, n_heads, mode, out):
             records=records,
             corr_weight=cfg.train.corr_weight,
         )
-    except (GateError, ConfigError) as exc:
+    except (GateError, ConfigError, model_mod.LengthError) as exc:
         _fail(EXIT_FAILURE, f"gate map construction failed: {exc}")
     gate_map.provenance["config_hash"] = config_hash(cfg)
     gate_map.provenance["tool_version"] = __version__

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -75,21 +75,9 @@ class EvalReport:
     nights: list = field(default_factory=list, repr=False, compare=False)
 
     def to_dict(self) -> dict:
-        def agg(d):
-            return {
-                k: {
-                    "corr": v.corr,
-                    "mae": v.mae,
-                    "rmse": v.rmse,
-                    "count": v.count,
-                    "corr_excluded": v.corr_excluded,
-                }
-                for k, v in d.items()
-            }
-
         payload = {
-            "by_segment": agg(self.by_segment),
-            "by_night": agg(self.by_night),
+            "by_segment": {k: asdict(v) for k, v in self.by_segment.items()},
+            "by_night": {k: asdict(v) for k, v in self.by_night.items()},
             "segment_count": self.segment_count,
             "excluded_count": self.excluded_count,
             "config_hash": self.config_hash,

@@ -38,14 +38,11 @@ __all__ = [
     "RRELU_UPPER",
     "multi_head_self_attention",
     "ATTENTION_PARAM_KEYS",
+    "attention_param_shapes",
 ]
 
 RRELU_LOWER = 1.0 / 8.0
 RRELU_UPPER = 1.0 / 3.0
-
-# Gradient checking instruments rrelu inputs through this hook to keep finite
-# differences away from the kink at zero.  Always None outside those probes.
-_RRELU_OBSERVER = None
 
 
 def conv_output_length(length: int, kernel: int, stride: int, padding: int) -> int:
@@ -258,8 +255,6 @@ def rrelu(
         raise ShapeError(f"rrelu mode must be train or eval, got {mode!r}")
     if not (0.0 <= lower <= upper < 1.0):
         raise ShapeError(f"rrelu bounds must satisfy 0 <= lower <= upper < 1, got ({lower}, {upper})")
-    if _RRELU_OBSERVER is not None:
-        _RRELU_OBSERVER(x.data)
     xd = x.data
     if mode == "train":
         if rng is None:
@@ -280,6 +275,17 @@ ATTENTION_PARAM_KEYS = (
     "q_w", "q_b", "k_w", "k_b", "v_w", "v_b", "o_w", "o_b",
     "ln1_g", "ln1_b", "ff1_w", "ff1_b", "ff2_w", "ff2_b", "ln2_g", "ln2_b",
 )
+
+
+def attention_param_shapes(d: int, n_heads: int, d_ff: int) -> dict[str, tuple[int, ...]]:
+    """Shape of each multi_head_self_attention parameter, in ATTENTION_PARAM_KEYS order."""
+    a = n_heads * (d // n_heads)
+    return {
+        "q_w": (d, a), "q_b": (a,), "k_w": (d, a), "k_b": (a,), "v_w": (d, a), "v_b": (a,),
+        "o_w": (a, d), "o_b": (d,), "ln1_g": (d,), "ln1_b": (d,),
+        "ff1_w": (d, d_ff), "ff1_b": (d_ff,), "ff2_w": (d_ff, d), "ff2_b": (d,),
+        "ln2_g": (d,), "ln2_b": (d,),
+    }
 
 
 def multi_head_self_attention(

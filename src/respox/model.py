@@ -10,6 +10,11 @@ x24 back to 1 Hz.  Four variants share the machinery:
   gated     backbone + N decoder heads selected per second by a gate map
             + stage head predicting the inaccessible variable
 
+Every decoder head and the stage head is the same shape of network: a stack
+of deconv blocks and a 1x1 projection, built by _add_decoder and walked by
+_decode.  Decoder block i of a head concatenates encoder output
+SKIP_SOURCES[i] onto its output, except in the cnn variant.
+
 SpO2 lives in [0, 1] inside the model (divide by 100 on the way in).
 """
 
@@ -35,6 +40,9 @@ from .tensor import (
 
 CORR_EPS = 1e-8
 FU_STRIDES = (3, 2, 4)
+# Decoder block i concatenates encoder output SKIP_SOURCES[i]: the 3m, 6m,
+# 12m and 24m scales, m being the bottleneck length.
+SKIP_SOURCES = (5, 4, 3, 2)
 
 ModelParams = dict
 
@@ -74,25 +82,24 @@ def _ones(shape, dtype, requires_grad=True):
     return Tensor(np.ones(shape, dtype=dtype), requires_grad=requires_grad, dtype=dtype)
 
 
-def _add_bn(params, prefix, c_out, dtype):
+def _add_block(params, prefix, rng, c_in, c_out, k, dtype, transposed):
+    """One conv (or deconv) layer and its batch norm; weights uniform in +-1/sqrt(c_in*k)."""
+    kind, shape = ("deconv", (c_in, c_out, k)) if transposed else ("conv", (c_out, c_in, k))
+    params[f"{prefix}.{kind}.weight"] = _uniform(rng, shape, 1.0 / np.sqrt(c_in * k), dtype)
+    params[f"{prefix}.{kind}.bias"] = _zeros((c_out,), dtype)
     params[f"{prefix}.bn.gamma"] = _ones((c_out,), dtype)
     params[f"{prefix}.bn.beta"] = _zeros((c_out,), dtype)
     params[f"{prefix}.bn.running_mean"] = _zeros((c_out,), dtype, requires_grad=False)
     params[f"{prefix}.bn.running_var"] = _ones((c_out,), dtype, requires_grad=False)
 
 
-def _add_conv_block(params, prefix, rng, c_in, c_out, k, dtype):
-    bound = 1.0 / np.sqrt(c_in * k)
-    params[f"{prefix}.conv.weight"] = _uniform(rng, (c_out, c_in, k), bound, dtype)
-    params[f"{prefix}.conv.bias"] = _zeros((c_out,), dtype)
-    _add_bn(params, prefix, c_out, dtype)
-
-
-def _add_deconv_block(params, prefix, rng, c_in, c_out, k, dtype):
-    bound = 1.0 / np.sqrt(c_in * k)
-    params[f"{prefix}.deconv.weight"] = _uniform(rng, (c_in, c_out, k), bound, dtype)
-    params[f"{prefix}.deconv.bias"] = _zeros((c_out,), dtype)
-    _add_bn(params, prefix, c_out, dtype)
+def _add_decoder(params, prefix, rng, c_ins, c_outs, n_out, k, dtype):
+    """Deconv blocks {prefix}.i (c_ins[i] -> c_outs[i]), then a 1x1 projection to n_out."""
+    for i, (c_in, c_out) in enumerate(zip(c_ins, c_outs)):
+        _add_block(params, f"{prefix}.{i}", rng, c_in, c_out, k, dtype, transposed=True)
+    c_last = c_outs[-1]
+    params[f"{prefix}.proj.weight"] = _uniform(rng, (n_out, c_last, 1), 1.0 / np.sqrt(c_last), dtype)
+    params[f"{prefix}.proj.bias"] = _zeros((n_out,), dtype)
 
 
 def input_channels(config: ModelConfig) -> int:
@@ -113,12 +120,11 @@ def has_stage_head(config: ModelConfig) -> bool:
 
 def decoder_in_channels(config: ModelConfig) -> list[int]:
     """Per-layer input widths of one decoder head, including skip concatenation."""
-    ec, dc = config.encoder_channels, config.decoder_channels
+    skips = SKIP_SOURCES if uses_skips(config) else ()
     chain = [config.bottleneck_width]
-    for i in range(1, 7):
-        width = dc[i - 1]
-        if uses_skips(config) and 1 <= i <= 4:
-            width += ec[6 - i]  # layers 2..5 eat encoder scales 3m, 6m, 12m, 24m
+    for i, width in enumerate(config.decoder_channels[:-1]):
+        if i < len(skips):
+            width += config.encoder_channels[skips[i]]
         chain.append(width)
     return chain
 
@@ -133,51 +139,30 @@ def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams
     c_prev = input_channels(config)
     for i in range(encoder_layer_count(config)):
         c_out = config.encoder_channels[i]
-        _add_conv_block(params, f"encoder.{i}", rng, c_prev, c_out, k, dtype)
+        _add_block(params, f"encoder.{i}", rng, c_prev, c_out, k, dtype, transposed=False)
         c_prev = c_out
 
     if config.variant != "cnn":
         d = config.bert_hidden
-        all_head = config.bert_heads * (d // config.bert_heads)
+        shapes = kernels.attention_param_shapes(d, config.bert_heads, config.bert_intermediate)
         params["bert.pos_emb"] = _normal(rng, (config.max_positions, d), 0.02, dtype)
         for i in range(config.bert_layers):
-            for key in kernels.ATTENTION_PARAM_KEYS:
+            for key, shape in shapes.items():
                 name = f"bert.{i}.{key}"
-                if key == "ff1_w":
-                    params[name] = _normal(rng, (d, config.bert_intermediate), 0.02, dtype)
-                elif key == "ff2_w":
-                    params[name] = _normal(rng, (config.bert_intermediate, d), 0.02, dtype)
-                elif key in ("q_w", "k_w", "v_w"):
-                    params[name] = _normal(rng, (d, all_head), 0.02, dtype)
-                elif key == "o_w":
-                    params[name] = _normal(rng, (all_head, d), 0.02, dtype)
-                elif key == "ff1_b":
-                    params[name] = _zeros((config.bert_intermediate,), dtype)
-                elif key in ("q_b", "k_b", "v_b"):
-                    params[name] = _zeros((all_head,), dtype)
+                if key.endswith("_w"):
+                    params[name] = _normal(rng, shape, 0.02, dtype)
                 elif key.endswith("_g"):
-                    params[name] = _ones((d,), dtype)
+                    params[name] = _ones(shape, dtype)
                 else:
-                    params[name] = _zeros((d,), dtype)
+                    params[name] = _zeros(shape, dtype)
 
-    n_heads = config.n_heads if config.variant == "gated" else 1
     in_chain = decoder_in_channels(config)
-    for h in range(1, n_heads + 1):
-        for i in range(7):
-            _add_deconv_block(
-                params, f"head{h}.{i}", rng, in_chain[i], config.decoder_channels[i], k, dtype
-            )
-        c_last = config.decoder_channels[6]
-        params[f"head{h}.proj.weight"] = _uniform(rng, (1, c_last, 1), 1.0 / np.sqrt(c_last), dtype)
-        params[f"head{h}.proj.bias"] = _zeros((1,), dtype)
+    for h in range(1, config.n_heads + 1):
+        _add_decoder(params, f"head{h}", rng, in_chain, config.decoder_channels, 1, k, dtype)
 
     if has_stage_head(config):
-        c_prev = config.bottleneck_width
-        for i, c_out in enumerate(config.fu_channels):
-            _add_deconv_block(params, f"fu.{i}", rng, c_prev, c_out, k, dtype)
-            c_prev = c_out
-        params["fu.proj.weight"] = _uniform(rng, (config.u_classes, c_prev, 1), 1.0 / np.sqrt(c_prev), dtype)
-        params["fu.proj.bias"] = _zeros((config.u_classes,), dtype)
+        fu = config.fu_channels
+        _add_decoder(params, "fu", rng, (config.bottleneck_width,) + fu[:-1], fu, config.u_classes, k, dtype)
 
     return params
 
@@ -244,8 +229,8 @@ def encode(
     """Run the encoder (and bottleneck when present).
 
     Returns (features [n, fb*T/240], skips).  Skips are the encoder
-    activations the decoder revisits, ordered largest scale first:
-    lengths 24m, 12m, 6m, 3m where m is the bottleneck length.
+    outputs named by SKIP_SOURCES, in decoder order: lengths 3m, 6m, 12m,
+    24m where m is the bottleneck length; None for the cnn variant.
     """
     if x.ndim != 2 or x.shape[0] != input_channels(config):
         raise ShapeError(
@@ -266,9 +251,7 @@ def encode(
         h = _conv_block(params, f"encoder.{i}", h, config.encoder_strides[i], config, mode, rng)
         outputs.append(h)
 
-    skips = None
-    if uses_skips(config):
-        skips = [outputs[2], outputs[3], outputs[4], outputs[5]]  # 24m, 12m, 6m, 3m
+    skips = [outputs[j] for j in SKIP_SOURCES] if uses_skips(config) else None
 
     if config.variant == "cnn":
         return h, skips
@@ -286,6 +269,15 @@ def encode(
     return tokens.t(), skips
 
 
+def _decode(params, prefix, h, strides, skips, config, mode, rng):
+    """Walk a decoder built by _add_decoder; block i's output is joined with skips[i]."""
+    for i, stride in enumerate(strides):
+        h = _deconv_block(params, f"{prefix}.{i}", h, stride, config, mode, rng)
+        if skips is not None and i < len(skips):
+            h = concat([h, skips[i]], axis=0)
+    return kernels.conv1d(h, params[f"{prefix}.proj.weight"], params[f"{prefix}.proj.bias"])
+
+
 def decode_head(
     params: ModelParams,
     config: ModelConfig,
@@ -296,18 +288,11 @@ def decode_head(
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     """Upsample bottleneck features x24 through decoder head `head` (1-based)."""
-    n_heads = config.n_heads if config.variant == "gated" else 1
-    if not 1 <= head <= n_heads:
-        raise GateRangeError(f"head index {head} outside 1..{n_heads}")
+    if not 1 <= head <= config.n_heads:
+        raise GateRangeError(f"head index {head} outside 1..{config.n_heads}")
     if uses_skips(config) and skips is None:
         raise ShapeError(f"variant {config.variant!r} decodes with skip activations")
-    prefix = f"head{head}"
-    h = features
-    for i in range(7):
-        h = _deconv_block(params, f"{prefix}.{i}", h, config.decoder_strides[i], config, mode, rng)
-        if uses_skips(config) and 0 <= i <= 3:
-            h = concat([h, skips[3 - i]], axis=0)  # matches 3m, 6m, 12m, 24m scales
-    out = kernels.conv1d(h, params[f"{prefix}.proj.weight"], params[f"{prefix}.proj.bias"])
+    out = _decode(params, f"head{head}", features, config.decoder_strides, skips, config, mode, rng)
     return out.reshape(out.shape[1])
 
 
@@ -321,10 +306,7 @@ def predict_inaccessible(
     """Stage-head logits [u_classes, fo*T] from bottleneck features."""
     if not has_stage_head(config):
         raise ConfigError(f"variant {config.variant!r} has no stage head")
-    h = features
-    for i, stride in enumerate(FU_STRIDES):
-        h = _deconv_block(params, f"fu.{i}", h, stride, config, mode, rng)
-    return kernels.conv1d(h, params["fu.proj.weight"], params["fu.proj.bias"])
+    return _decode(params, "fu", features, FU_STRIDES, None, config, mode, rng)
 
 
 def combine_heads(per_head: Tensor, status: np.ndarray) -> Tensor:
@@ -396,12 +378,11 @@ def forward(
 
     features, skips = encode(params, config, x, mode=mode, rng=rng)
 
-    n_heads = config.n_heads if config.variant == "gated" else 1
     head_rows = [
         decode_head(params, config, h, features, skips, mode=mode, rng=rng).reshape(1, -1)
-        for h in range(1, n_heads + 1)
+        for h in range(1, config.n_heads + 1)
     ]
-    per_head = head_rows[0] if n_heads == 1 else concat(head_rows, axis=0)
+    per_head = head_rows[0] if config.n_heads == 1 else concat(head_rows, axis=0)
     t_out = per_head.shape[1]
 
     u_logits = None

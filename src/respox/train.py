@@ -46,9 +46,6 @@ class AdamState:
     m: dict
     v: dict
     t: int = 0
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-    eps: float = ADAM_EPS
     lr: float = 2e-4
 
 
@@ -61,8 +58,8 @@ def init_adam(params: dict, lr: float) -> AdamState:
 def adam_step(params: dict, state: AdamState) -> None:
     """One bias-corrected Adam update, in place; missing gradients count as zero."""
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    bc1 = 1.0 - ADAM_BETA1 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
     for name in state.m:
         tensor = params[name]
         grad = tensor.grad
@@ -70,11 +67,11 @@ def adam_step(params: dict, state: AdamState) -> None:
             grad = np.zeros_like(tensor.data)
         elif not np.all(np.isfinite(grad)):
             raise TrainingError(f"non-finite gradient in {name!r} at step {state.t}")
-        state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * grad
-        state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * grad * grad
+        state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * grad
+        state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * grad * grad
         m_hat = state.m[name] / bc1
         v_hat = state.v[name] / bc2
-        tensor.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        tensor.data -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def clip_gradients(params: dict, max_norm: float) -> float:

@@ -220,6 +220,44 @@ def test_gatemap_from_backbone(runner, data_dir, config_file, backbone_ckpt, tmp
     assert payload["provenance"]["mode"] == "grad-sim"
 
 
+@pytest.fixture(scope="module")
+def long_data_dir(tmp_path_factory, runner):
+    """Two 480 s nights: 20 bottleneck positions, over the micro model's 16."""
+    out = tmp_path_factory.mktemp("long")
+    result = runner.invoke(
+        main, ["synth", "--out", str(out), "--seed", "3", "--nights", "2", "--duration", "480"]
+    )
+    assert result.exit_code == 0, result.output
+    return out
+
+
+def test_train_over_position_budget_exits_1(runner, long_data_dir, config_file, tmp_path):
+    result = runner.invoke(
+        main,
+        [
+            "train", "--config", str(config_file), "--data", str(long_data_dir),
+            "--split", "all", "--out", str(tmp_path / "bb.ckpt"),
+        ],
+    )
+    assert result.exit_code == 1, result.output
+    assert "training failed: bottleneck length 20 exceeds the 16 position budget" in result.stderr
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+def test_gatemap_over_position_budget_exits_1(runner, long_data_dir, config_file, backbone_ckpt, tmp_path):
+    result = runner.invoke(
+        main,
+        [
+            "gatemap", "--ckpt", str(backbone_ckpt), "--config", str(config_file),
+            "--data", str(long_data_dir), "--n-heads", "2", "--out", str(tmp_path / "gate.json"),
+        ],
+    )
+    assert result.exit_code == 1, result.output
+    assert "gate map construction failed: bottleneck length 20" in result.stderr
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert not (tmp_path / "gate.json").exists()
+
+
 # ---------------------------------------------------------------- eval
 
 

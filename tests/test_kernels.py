@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from respox.kernels import (
     ATTENTION_PARAM_KEYS,
+    attention_param_shapes,
     batch_norm1d,
     conv1d,
     conv_output_length,
@@ -253,6 +254,15 @@ def test_attention_floor_head_width():
     assert params["q_w"].shape == (7, 6) and params["o_w"].shape == (6, 7)
     out = multi_head_self_attention(t(rng.normal(size=(4, 7))), params, n_heads=2)
     assert out.shape == (4, 7)
+
+
+def test_attention_param_shapes_follow_the_key_order_and_floor_width():
+    shapes = attention_param_shapes(7, 2, 8)  # head width 3, context 6
+    assert tuple(shapes) == ATTENTION_PARAM_KEYS
+    assert shapes["q_w"] == (7, 6) and shapes["q_b"] == (6,) and shapes["o_w"] == (6, 7)
+    assert shapes["ff1_w"] == (7, 8) and shapes["ff2_w"] == (8, 7) and shapes["ln2_g"] == (7,)
+    params = attention_params(np.random.default_rng(0), d=7, n_heads=2, d_ff=8)
+    assert {key: p.shape for key, p in params.items()} == shapes
 
 
 def test_attention_rejects_too_many_heads_and_wrong_widths():

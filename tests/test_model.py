@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,11 +9,13 @@ from respox import model as model_mod
 from respox.config import ConfigError, tiny_model_config
 from respox.gate import GateMap
 from respox.model import (
+    SKIP_SOURCES,
     GateRangeError,
     LengthError,
     as_input,
     build_model,
     combine_heads,
+    encode,
     forward,
     loss,
     loss_components,
@@ -34,6 +38,58 @@ def test_build_is_deterministic():
         np.testing.assert_array_equal(a[name].data, b[name].data)
     c = build_model(cfg, seed=6)
     assert any(not np.array_equal(a[n].data, c[n].data) for n in a)
+
+
+# sha256 of the newline-joined parameter names of each micro build, in
+# insertion order; checkpoints store tensors in this order.
+MICRO_PARAM_NAME_SHA256 = {
+    "backbone": "8faa7ed44ef2adfc25a914ec4ca9559766997ace51b674bb1eea380e20ea267b",
+    "cnn": "2e986376d64039c12bc157913de603391e626c967a21cb85d8e530899be061eb",
+    "varaug": "51d4749ad2c6d3087cc92c43ae80307b58bb9e53ff43b81d1507d40c4343f196",
+    "gated": "5095fc9acb51687a57e372917938b6565e94c4bbb626407f2ef7461435035e18",
+}
+
+
+@pytest.mark.parametrize("variant", ["backbone", "cnn", "varaug", "gated"])
+def test_build_draws_every_tensor_by_the_rule_in_order(variant):
+    """Conv, deconv and projection weights are uniform in +-1/sqrt(fan_in);
+    attention weights and pos_emb are normal(0, 0.02); all drawn from one
+    default_rng(seed) stream in insertion order.  The rest are zeros or ones."""
+    cfg = tiny_model_config("micro", variant=variant, n_heads=2 if variant == "gated" else 1)
+    params = build_model(cfg, seed=11)
+    rng = np.random.default_rng(11)
+    for name, tensor in params.items():
+        shape = tensor.shape
+        if name.endswith(".deconv.weight"):  # [c_in, c_out, k]
+            bound = 1.0 / np.sqrt(shape[0] * shape[2])
+            expected = rng.uniform(-bound, bound, size=shape)
+        elif name.endswith((".conv.weight", ".proj.weight")):  # [c_out, c_in, k]
+            bound = 1.0 / np.sqrt(shape[1] * shape[2])
+            expected = rng.uniform(-bound, bound, size=shape)
+        elif name == "bert.pos_emb" or (name.startswith("bert.") and name.endswith("_w")):
+            expected = rng.normal(0.0, 0.02, size=shape)
+        elif name.endswith((".gamma", ".running_var", "_g")):
+            expected = np.ones(shape)
+        else:
+            assert name.endswith((".bias", ".beta", ".running_mean", "_b")), name
+            expected = np.zeros(shape)
+        assert tensor.dtype == np.float32, name
+        np.testing.assert_array_equal(tensor.data, expected.astype(np.float32), err_msg=name)
+        assert tensor.requires_grad == (".running_" not in name), name
+    digest = hashlib.sha256("\n".join(params).encode("utf-8")).hexdigest()
+    assert digest == MICRO_PARAM_NAME_SHA256[variant]
+
+
+def test_skips_come_in_decoder_order():
+    cfg = tiny_model_config("micro")
+    params = build_model(cfg, seed=0)
+    features, skips = encode(params, cfg, as_input(breathing(48), params))
+    m = features.shape[1]
+    expected = [(cfg.encoder_channels[j], 3 * m * 2**i) for i, j in enumerate(SKIP_SOURCES)]
+    assert [s.shape for s in skips] == expected  # 3m, 6m, 12m, 24m
+    cnn = tiny_model_config("micro", variant="cnn")
+    cnn_params = build_model(cnn, seed=0)
+    assert encode(cnn_params, cnn, as_input(breathing(48), cnn_params))[1] is None
 
 
 def test_running_stats_are_buffers():
