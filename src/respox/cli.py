@@ -36,7 +36,7 @@ from .data import (
     load_dataset,
     write_record,
 )
-from .evaluate import EvalError, dump_predictions, evaluate
+from .evaluate import EvalError, GroupVarError, dump_predictions, evaluate
 from .gate import GateError, load_gate_map, save_gate_map
 from .gradcheck import run_all
 from .synth import SynthError, SynthProfile, profile_from_dict, profile_to_dict, synth_generate
@@ -292,6 +292,8 @@ def eval_cmd(ckpt, config_path, data_dir, gate_map_path, split, group_by, dump_d
             checkpoint_id=os.path.basename(ckpt),
             group_var=cfg.eval.group_var,
         )
+    except GroupVarError as exc:
+        _fail(EXIT_USAGE, str(exc))
     except (EvalError, GateError, model_mod.GateRangeError, model_mod.LengthError) as exc:
         _fail(EXIT_FAILURE, f"evaluation failed: {exc}")
 

@@ -192,6 +192,9 @@ def evaluate(
     records = list(records)
     if not records:
         raise EvalError("no records to evaluate")
+    if group_var is not None:
+        for record in records:
+            _group_key(record, group_var)
     nights = []
     by_dataset: dict[str, list[list[SegmentMetrics]]] = {}
     for record in records:

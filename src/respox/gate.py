@@ -19,7 +19,7 @@ import numpy as np
 from . import model as model_mod
 from .config import ModelConfig
 from .container import write_json
-from .tensor import backward, take
+from .tensor import take
 
 log = logging.getLogger(__name__)
 
@@ -95,7 +95,7 @@ def state_gradient(
         pred = model_mod.forward(params, config, x, v=v_in, mode="eval")
         idx = np.nonzero(mask)[0]
         loss, _ = model_mod.loss(take(pred.y_hat, idx, axis=0), y[idx], corr_weight)
-        backward(loss)
+        loss.backward()
         per_record.append(flatten_grads(params, names))
     if not per_record:
         raise GateError(f"no record carries state (v={v}, u={u})")

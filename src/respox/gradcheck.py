@@ -24,14 +24,10 @@ TOL_F64 = 1e-5
 _WEIGHT_SEED = 0x5EED
 
 
-def _probe_weights(shape: tuple[int, ...], dtype) -> np.ndarray:
+def _probe_weights(shape: tuple[int, ...]) -> np.ndarray:
     rng = np.random.default_rng(_WEIGHT_SEED)
     exponents = rng.integers(-3, 4, size=shape)
-    return np.ldexp(np.ones(shape), exponents).astype(dtype)
-
-
-def _scalarize(out: Tensor, weights: np.ndarray) -> Tensor:
-    return (out * Tensor(weights, dtype=out.dtype)).sum()
+    return np.ldexp(np.ones(shape), exponents)
 
 
 def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -59,11 +55,11 @@ def grad_check(
     the 32-bit checking mode.
     """
     out = fn(*inputs)
-    weights = _probe_weights(out.shape, np.float64)
+    weights = _probe_weights(out.shape)
 
     for t in inputs:
-        t.zero_grad()
-    _scalarize(fn(*inputs), weights.astype(inputs[0].dtype if inputs else np.float64)).backward()
+        t.grad = None
+    (fn(*inputs) * weights).sum().backward()
 
     shadow = list(numeric_inputs) if numeric_inputs is not None else list(inputs)
     shadow_fn = numeric_fn if numeric_fn is not None else fn
@@ -71,7 +67,7 @@ def grad_check(
         raise ValueError("numeric_inputs must mirror inputs")
 
     def shadow_scalar() -> float:
-        return _scalarize(shadow_fn(*shadow), weights.astype(shadow[0].dtype)).item()
+        return (shadow_fn(*shadow) * weights).sum().item()
 
     worst = 0.0
     for probe, source in zip(shadow, inputs):
@@ -272,11 +268,10 @@ def run_model_suite(seed: int = 0) -> list[CheckResult]:
         names = sorted(name for name, t in params.items() if t.requires_grad)
         tensors = [params[name] for name in names]
         x = Tensor(x_np, dtype=dtype)
-        y = Tensor(y_np, dtype=dtype)
 
         def fn(*weights):
             pred = model_mod.forward(params, cfg, x, mode="eval")
-            return model_mod.loss(pred.y_hat, y, corr_weight=0.2)[0]
+            return model_mod.loss(pred.y_hat, y_np, corr_weight=0.2)[0]
 
         return fn, tensors
 

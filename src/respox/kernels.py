@@ -292,21 +292,17 @@ def multi_head_self_attention(
     x: Tensor,
     params: dict[str, Tensor],
     n_heads: int,
-    mode: str = "eval",
 ) -> Tensor:
     """One post-norm transformer encoder block on [L, d] token rows.
 
     Self-attention -> residual add -> layer norm -> GELU feed-forward ->
-    residual add -> layer norm.  Weights are [d_in, d_out]; `mode` is
-    accepted for interface symmetry (the block has no stochastic parts).
+    residual add -> layer norm.  Weights are [d_in, d_out].
 
     Head width is floor(d / n_heads), so Q/K/V projections map d to
     n_heads * head_width columns and the output projection maps back to d.
     When n_heads divides d that is the usual square layout; otherwise the
     concatenated context is slightly narrower than d.
     """
-    if mode not in ("train", "eval"):
-        raise ShapeError(f"attention mode must be train or eval, got {mode!r}")
     if x.ndim != 2:
         raise ShapeError(f"attention expects [L, d] tokens, got {x.shape}")
     length, d = x.shape

@@ -34,6 +34,7 @@ from .data import normalize_breathing
 from .tensor import (
     ShapeError,
     Tensor,
+    as_tensor,
     concat,
     log_softmax,
 )
@@ -265,7 +266,7 @@ def encode(
     tokens = tokens + pos
     for i in range(config.bert_layers):
         layer = {key: params[f"bert.{i}.{key}"] for key in kernels.ATTENTION_PARAM_KEYS}
-        tokens = kernels.multi_head_self_attention(tokens, layer, config.bert_heads, mode=mode)
+        tokens = kernels.multi_head_self_attention(tokens, layer, config.bert_heads)
     return tokens.t(), skips
 
 
@@ -324,8 +325,8 @@ def combine_heads(per_head: Tensor, status: np.ndarray) -> Tensor:
         raise ShapeError(f"gate series must have shape ({t},), got {s.shape}")
     if s.size and (s.min() < 1 or s.max() > n):
         raise GateRangeError(f"gate status outside 1..{n}: range [{s.min()}, {s.max()}]")
-    onehot = (s[None, :] == np.arange(1, n + 1)[:, None]).astype(per_head.dtype)
-    return (per_head * Tensor(onehot, dtype=per_head.dtype)).sum(axis=0)
+    onehot = s[None, :] == np.arange(1, n + 1)[:, None]
+    return (per_head * onehot).sum(axis=0)
 
 
 def as_input(breathing: np.ndarray, params: ModelParams, v: int | None = None) -> Tensor:
@@ -406,21 +407,13 @@ def forward(
 # ---------------------------------------------------------------- losses
 
 
-def _as_const(y, like: Tensor) -> Tensor:
-    if isinstance(y, Tensor):
-        if y.dtype != like.dtype:
-            return Tensor(y.data, dtype=like.dtype)
-        return y
-    return Tensor(np.asarray(y), dtype=like.dtype)
-
-
 def loss_components(y_hat: Tensor, y) -> tuple[Tensor, Tensor]:
     """(mean absolute error, Pearson correlation) between a prediction and target.
 
     The correlation denominator carries a small epsilon inside the square
     root so a constant series yields correlation 0 instead of dividing by 0.
     """
-    y = _as_const(y, y_hat)
+    y = as_tensor(y, y_hat)
     if y_hat.ndim != 1 or y_hat.shape != y.shape or y_hat.shape[0] < 1:
         raise ShapeError(f"loss expects matching 1-D series, got {y_hat.shape} and {y.shape}")
     l1 = (y_hat - y).abs().mean()
@@ -446,7 +439,7 @@ def stage_ce_sum(u_logits: Tensor, u: np.ndarray) -> Tensor:
     cols = np.nonzero(valid)[0]
     onehot[u_arr[cols], cols] = 1.0
     logp = log_softmax(u_logits, axis=0)
-    return -(logp * Tensor(onehot, dtype=u_logits.dtype)).sum()
+    return -(logp * onehot).sum()
 
 
 def loss(

@@ -4,6 +4,10 @@ A Tensor wraps one float32/float64 ndarray.  Operations build the graph
 eagerly; each op output keeps references to its parents plus a closure
 that maps the upstream gradient to per-parent gradients.  backward() on
 a scalar walks the graph once in reverse topological order.
+
+Operand rule for + - * /: a Python number or numpy array beside a Tensor
+joins as a constant in that tensor's dtype (as_tensor): a leaf that takes
+no gradient.  Two tensors must share one dtype.
 """
 
 from __future__ import annotations
@@ -82,9 +86,6 @@ class Tensor:
 
     def __float__(self) -> float:
         return self.item()
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     # ---- graph walk ----
 
@@ -190,6 +191,20 @@ def _check_same_dtype(a: Tensor, b: Tensor) -> None:
         raise ShapeError(f"dtype mismatch: {a.data.dtype} vs {b.data.dtype}")
 
 
+def as_tensor(value, like: Tensor) -> Tensor:
+    """A number or array as a constant Tensor in `like`'s dtype; a Tensor of that dtype passes through."""
+    if isinstance(value, Tensor):
+        _check_same_dtype(value, like)
+        return value
+    return Tensor(value, dtype=like.dtype)
+
+
+def _operands(a, b) -> tuple[Tensor, Tensor]:
+    if isinstance(a, Tensor):
+        return a, as_tensor(b, a)
+    return as_tensor(a, b), b
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a gradient down to the shape the operand had before broadcasting."""
     extra = g.ndim - len(shape)
@@ -205,12 +220,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
-    if not isinstance(a, Tensor):
-        a, b = b, a
-    if not isinstance(b, Tensor):
-        c = float(b)
-        return _from_op(a.data + c, (a,), lambda g: (g,))
-    _check_same_dtype(a, b)
+    a, b = _operands(a, b)
     data = a.data + b.data
 
     def grad_fn(g):
@@ -222,13 +232,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    if isinstance(a, Tensor) and not isinstance(b, Tensor):
-        c = float(b)
-        return _from_op(a.data - c, (a,), lambda g: (g,))
-    if not isinstance(a, Tensor):
-        c = float(a)
-        return _from_op(c - b.data, (b,), lambda g: (-g,))
-    _check_same_dtype(a, b)
+    a, b = _operands(a, b)
     data = a.data - b.data
 
     def grad_fn(g):
@@ -240,14 +244,9 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    if not isinstance(a, Tensor):
-        a, b = b, a
-    if not isinstance(b, Tensor):
-        c = float(b)
-        return _from_op(a.data * c, (a,), lambda g: (g * c,))
-    _check_same_dtype(a, b)
-    data = a.data * b.data
+    a, b = _operands(a, b)
     ad, bd = a.data, b.data
+    data = ad * bd
 
     def grad_fn(g):
         ga = _unbroadcast(g * bd, a.shape) if a.requires_grad else None
@@ -258,17 +257,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    if isinstance(a, Tensor) and not isinstance(b, Tensor):
-        return mul(a, 1.0 / float(b))
-    if not isinstance(a, Tensor):
-        c = float(a)
-        bd = b.data
-
-        def grad_rfn(g):
-            return (-g * c / (bd * bd),)
-
-        return _from_op(c / bd, (b,), grad_rfn)
-    _check_same_dtype(a, b)
+    a, b = _operands(a, b)
     ad, bd = a.data, b.data
     data = ad / bd
 
@@ -499,8 +488,3 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Te
         return gx, ggamma, gbeta
 
     return _from_op(out, (x, gamma, beta), grad_fn)
-
-
-def backward(loss: Tensor) -> None:
-    """Module-level alias: run reverse mode from a scalar loss."""
-    loss.backward()

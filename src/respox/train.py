@@ -27,7 +27,6 @@ from .gate import (
     parse_state_key,
     populated_states,
 )
-from .tensor import Tensor, backward
 
 log = logging.getLogger(__name__)
 
@@ -203,11 +202,13 @@ def train(
                     step,
                     AUTO_CLIP_NORM,
                 )
+                del pred, loss
                 continue
 
             for name in trainable:
                 params[name].grad = None
-            backward(loss)
+            loss.backward()
+            del pred, loss  # free this step's graph before the next forward builds one
             if clip_norm > 0.0:
                 clip_gradients(params, clip_norm)
             adam_step(params, adam)

@@ -286,7 +286,9 @@ def test_eval_writes_report_and_dumps(runner, data_dir, config_file, backbone_ck
     assert len(first) == 241
 
 
-def test_eval_forwards_each_night_once(runner, data_dir, backbone_ckpt, tmp_path, monkeypatch):
+@pytest.fixture()
+def predict_calls(monkeypatch):
+    """Subject ids that evaluate.predict_record is called with, in call order."""
     import respox.evaluate as ev
 
     calls = []
@@ -297,6 +299,10 @@ def test_eval_forwards_each_night_once(runner, data_dir, backbone_ckpt, tmp_path
         return original(*args, **kwargs)
 
     monkeypatch.setattr(ev, "predict_record", counting)
+    return calls
+
+
+def test_eval_forwards_each_night_once(runner, data_dir, backbone_ckpt, tmp_path, predict_calls):
     result = runner.invoke(
         main,
         [
@@ -306,9 +312,25 @@ def test_eval_forwards_each_night_once(runner, data_dir, backbone_ckpt, tmp_path
     )
     assert result.exit_code == 0, result.output
     nights = sorted(p.stem for p in data_dir.glob("*.rsp"))
-    assert sorted(calls) == nights
+    assert sorted(predict_calls) == nights
     assert sorted(p.stem for p in (tmp_path / "dumps").iterdir()) == nights
     assert set(json.loads((tmp_path / "r.json").read_text())["group_stats"]) == {"0", "1"}
+
+
+def test_eval_unknown_group_variable_exits_2_before_any_forward(
+    runner, data_dir, backbone_ckpt, tmp_path, predict_calls
+):
+    result = runner.invoke(
+        main,
+        [
+            "eval", "--ckpt", str(backbone_ckpt), "--data", str(data_dir), "--split", "all",
+            "--group-by", "nosuch", "--report", str(tmp_path / "r.json"),
+        ],
+    )
+    assert result.exit_code == 2, result.output
+    assert "has no variable 'nosuch'" in result.stderr
+    assert predict_calls == []
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_eval_gate_map_must_fit_checkpoint(runner, data_dir, gated_artifacts, tmp_path):

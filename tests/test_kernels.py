@@ -217,16 +217,8 @@ def test_rrelu_train_requires_rng():
 
 
 def attention_params(rng, d, n_heads, d_ff, dtype=np.float64):
-    d_head = d // n_heads
-    all_head = n_heads * d_head
-    shapes = {
-        "q_w": (d, all_head), "k_w": (d, all_head), "v_w": (d, all_head), "o_w": (all_head, d),
-        "q_b": (all_head,), "k_b": (all_head,), "v_b": (all_head,), "o_b": (d,),
-        "ln1_g": (d,), "ln1_b": (d,), "ff1_w": (d, d_ff), "ff1_b": (d_ff,),
-        "ff2_w": (d_ff, d), "ff2_b": (d,), "ln2_g": (d,), "ln2_b": (d,),
-    }
     params = {}
-    for key, shape in shapes.items():
+    for key, shape in attention_param_shapes(d, n_heads, d_ff).items():
         if key.endswith("_g"):
             params[key] = t(np.ones(shape), dtype)
         elif key.endswith("_b"):
@@ -261,8 +253,6 @@ def test_attention_param_shapes_follow_the_key_order_and_floor_width():
     assert tuple(shapes) == ATTENTION_PARAM_KEYS
     assert shapes["q_w"] == (7, 6) and shapes["q_b"] == (6,) and shapes["o_w"] == (6, 7)
     assert shapes["ff1_w"] == (7, 8) and shapes["ff2_w"] == (8, 7) and shapes["ln2_g"] == (7,)
-    params = attention_params(np.random.default_rng(0), d=7, n_heads=2, d_ff=8)
-    assert {key: p.shape for key, p in params.items()} == shapes
 
 
 def test_attention_rejects_too_many_heads_and_wrong_widths():
@@ -274,12 +264,3 @@ def test_attention_rejects_too_many_heads_and_wrong_widths():
     params["q_b"] = t(np.zeros(5))
     with pytest.raises(ShapeError):
         multi_head_self_attention(t(rng.normal(size=(4, 8))), params, n_heads=2)
-
-
-def test_attention_deterministic_between_modes():
-    rng = np.random.default_rng(8)
-    params = attention_params(rng, d=6, n_heads=3, d_ff=12)
-    x = t(rng.normal(size=(5, 6)))
-    a = multi_head_self_attention(x, params, n_heads=3, mode="train").data
-    b = multi_head_self_attention(x, params, n_heads=3, mode="eval").data
-    np.testing.assert_array_equal(a, b)

@@ -7,14 +7,18 @@ from respox.tensor import (
     GraphError,
     ShapeError,
     Tensor,
-    backward,
+    add,
+    as_tensor,
     concat,
+    div,
     gelu,
     layer_norm,
     log_softmax,
+    mul,
     narrow,
     no_grad,
     softmax,
+    sub,
     take,
 )
 
@@ -155,6 +159,27 @@ def test_mixed_dtype_rejected():
     b = Tensor(np.zeros(3, dtype=np.float64), dtype=np.float64)
     with pytest.raises(ShapeError):
         a + b
+    for op in (sub, mul, div, as_tensor):
+        with pytest.raises(ShapeError):
+            op(a, b)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("op", [add, sub, mul, div])
+@pytest.mark.parametrize("const", [0.3, np.array([[1.5], [-2.0]])], ids=["number", "array"])
+@pytest.mark.parametrize("tensor_left", [True, False], ids=["tensor_left", "tensor_right"])
+def test_number_or_array_operand_joins_as_a_constant(dtype, op, const, tensor_left):
+    def run(c):
+        x = Tensor(np.array([[0.5, -1.25, 2.0], [1.5, 0.75, -0.5]]), requires_grad=True, dtype=dtype)
+        out = op(x, c) if tensor_left else op(c, x)
+        (out * out).sum().backward()
+        return out, x.grad
+
+    out, grad = run(const)
+    ref, ref_grad = run(Tensor(const, dtype=dtype))
+    assert out.dtype == dtype and grad.dtype == dtype
+    np.testing.assert_array_equal(out.data, ref.data)
+    np.testing.assert_array_equal(grad, ref_grad)
 
 
 def test_dtype_is_preserved_through_ops():
@@ -168,7 +193,7 @@ def test_dtype_is_preserved_through_ops():
 def test_backward_requires_scalar():
     a = tensor([1.0, 2.0])
     with pytest.raises((GraphError, ShapeError, ValueError)):
-        backward(a)
+        a.backward()
 
 
 def test_deep_chain_does_not_recurse():

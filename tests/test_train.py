@@ -1,5 +1,6 @@
 import json
 import logging
+import weakref
 
 import numpy as np
 import pytest
@@ -231,6 +232,34 @@ def test_nonfinite_loss_with_clip_active_aborts(micro_cfg, micro_records, monkey
     tc = TrainConfig(epochs=1, seed=0, lr=1e-3, grad_clip=5.0)
     with pytest.raises(TrainingError):
         train(micro_cfg, micro_records, tc)
+
+
+@pytest.mark.parametrize("skip_first", [False, True], ids=["stepped", "skipped"])
+def test_step_graph_is_freed_before_the_next_forward(micro_cfg, micro_records, monkeypatch, skip_first):
+    # Tensor has no __weakref__ slot, so watch the prediction's array; the
+    # loss graph keeps it alive for as long as the graph is alive.
+    forward, loss_components = model_mod.forward, model_mod.loss_components
+    previous = []
+    alive_at_forward = []
+
+    def watched_forward(*args, **kwargs):
+        alive_at_forward.append(any(ref() is not None for ref in previous))
+        pred = forward(*args, **kwargs)
+        previous.append(weakref.ref(pred.y_hat.data))
+        return pred
+
+    def first_loss_nonfinite(y_hat, y):
+        l1, corr = loss_components(y_hat, y)
+        if len(previous) == 1:
+            return Tensor(np.asarray(np.inf, dtype=l1.data.dtype)), corr
+        return l1, corr
+
+    monkeypatch.setattr(model_mod, "forward", watched_forward)
+    if skip_first:
+        monkeypatch.setattr(model_mod, "loss_components", first_loss_nonfinite)
+    _, _, tlog = train(micro_cfg, micro_records, TrainConfig(epochs=1, seed=0, lr=1e-3))
+    assert (tlog.clip_activated_epoch == 0) == skip_first
+    assert alive_at_forward == [False] * len(micro_records)
 
 
 def test_train_log_rows_carry_provenance(tmp_path):
