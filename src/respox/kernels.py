@@ -208,11 +208,11 @@ def batch_norm1d(
         mu = running_mean.data
         var = running_var.data
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (xd - mu[:, None]) * inv[:, None]
-    out = gamma.data[:, None] * xhat + beta.data[:, None]
     gd = gamma.data
 
     if mode == "train":
+        xhat = (xd - mu[:, None]) * inv[:, None]
+        out = gd[:, None] * xhat + beta.data[:, None]
 
         def grad_fn(g):
             gx = None
@@ -228,10 +228,19 @@ def batch_norm1d(
             return gx, ggamma, gbeta
 
     else:
+        # gamma * xhat + beta built in one array, by the same operations in
+        # the same order; backward rebuilds xhat, which inference never needs,
+        # from running statistics that nothing updates in eval mode
+        out = xd - mu[:, None]
+        out *= inv[:, None]
+        out *= gd[:, None]
+        out += beta.data[:, None]
 
         def grad_fn(g):
             gx = g * (gd * inv)[:, None] if x.requires_grad else None
-            ggamma = (g * xhat).sum(axis=1) if gamma.requires_grad else None
+            ggamma = None
+            if gamma.requires_grad:
+                ggamma = (g * ((xd - mu[:, None]) * inv[:, None])).sum(axis=1)
             gbeta = g.sum(axis=1) if beta.requires_grad else None
             return gx, ggamma, gbeta
 
@@ -256,17 +265,27 @@ def rrelu(
     if not (0.0 <= lower <= upper < 1.0):
         raise ShapeError(f"rrelu bounds must satisfy 0 <= lower <= upper < 1, got ({lower}, {upper})")
     xd = x.data
+    one = xd.dtype.type(1.0)
     if mode == "train":
         if rng is None:
             raise ShapeError("rrelu train mode requires an rng")
         slopes = rng.uniform(lower, upper, size=xd.shape).astype(xd.dtype)
-    else:
-        slopes = xd.dtype.type((lower + upper) / 2.0)
-    factor = np.where(xd >= 0, xd.dtype.type(1.0), slopes)
-    out = xd * factor
+        factor = np.where(xd >= 0, one, slopes)
+        out = xd * factor
 
-    def grad_fn(g):
-        return (g * factor,)
+        def grad_fn(g):
+            return (g * factor,)
+
+    else:
+        # max(slope * x, x) equals x * where(x >= 0, 1, slope) bit for bit,
+        # -0.0, NaN payloads and underflow included, in one array instead of
+        # two; the one exception is +inf at slope 0, which gives NaN
+        slope = xd.dtype.type((lower + upper) / 2.0)
+        out = slope * xd
+        np.maximum(out, xd, out=out)
+
+        def grad_fn(g):
+            return (g * np.where(xd >= 0, one, slope),)
 
     return _from_op(out, (x,), grad_fn)
 

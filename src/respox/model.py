@@ -59,7 +59,6 @@ class GateRangeError(ValueError):
 @dataclass
 class Prediction:
     y_hat: Tensor                      # [fo*T], model scale [0, 1]
-    per_head: Tensor                   # [N, fo*T]
     u_logits: Tensor | None = None     # [u_classes, fo*T]
     gate_series: np.ndarray | None = None  # [fo*T], values 1..N
 
@@ -359,11 +358,12 @@ def forward(
 ) -> Prediction:
     """Full forward pass for any variant.
 
-    The stage head runs once, after the decoder heads, so its rrelu draws
-    never perturb the shared modules' sample stream.  Gated models then pick
-    each second's head from the stage labels u in train mode (missing labels
-    fall back to the non-REM entry) or from the stage head's argmax in eval
-    mode.
+    Gated models pick each second's head from a gate map.  In train mode
+    every decoder head runs, then the stage head, so the stage head's rrelu
+    draws never perturb the shared modules' sample stream; the gate reads
+    the stage labels u (missing labels fall back to the non-REM entry).
+    Eval mode draws nothing, so the stage head runs first, the gate reads
+    its argmax, and only the heads that gate selects are decoded.
     """
     if config.variant == "varaug" and v is None:
         raise ConfigError("varaug forward requires the accessible state v")
@@ -379,29 +379,35 @@ def forward(
 
     features, skips = encode(params, config, x, mode=mode, rng=rng)
 
-    head_rows = [
-        decode_head(params, config, h, features, skips, mode=mode, rng=rng).reshape(1, -1)
-        for h in range(1, config.n_heads + 1)
-    ]
-    per_head = head_rows[0] if config.n_heads == 1 else concat(head_rows, axis=0)
-    t_out = per_head.shape[1]
+    def decode(heads) -> Tensor:
+        rows = [
+            decode_head(params, config, h, features, skips, mode=mode, rng=rng).reshape(1, -1)
+            for h in heads
+        ]
+        return rows[0] if len(rows) == 1 else concat(rows, axis=0)
 
-    u_logits = None
-    if has_stage_head(config):
-        u_logits = predict_inaccessible(params, config, features, mode=mode, rng=rng)
+    def stage_logits() -> Tensor:
+        return predict_inaccessible(params, config, features, mode=mode, rng=rng)
+
     if config.variant != "gated":
-        return Prediction(y_hat=per_head.reshape(t_out), per_head=per_head, u_logits=u_logits)
+        y_hat = decode_head(params, config, 1, features, skips, mode=mode, rng=rng)
+        return Prediction(y_hat=y_hat, u_logits=stage_logits() if has_stage_head(config) else None)
 
     if mode == "train":
+        per_head = decode(range(1, config.n_heads + 1))
+        u_logits = stage_logits()
+        t_out = per_head.shape[1]
         u_gate = np.asarray(u)
         if u_gate.shape != (t_out,):
             raise ShapeError(f"stage series must have shape ({t_out},), got {u_gate.shape}")
-        u_gate = np.where(u_gate == 255, min(2, config.u_classes - 1), u_gate)
+        gate_series = gate_lookup(gate_map, v, np.where(u_gate == 255, min(2, config.u_classes - 1), u_gate))
+        y_hat = combine_heads(per_head, gate_series)
     else:
-        u_gate = np.argmax(u_logits.data, axis=0)
-    gate_series = gate_lookup(gate_map, v, u_gate)
-    y_hat = combine_heads(per_head, gate_series)
-    return Prediction(y_hat=y_hat, per_head=per_head, u_logits=u_logits, gate_series=gate_series)
+        u_logits = stage_logits()
+        gate_series = gate_lookup(gate_map, v, np.argmax(u_logits.data, axis=0))
+        heads = np.unique(gate_series)
+        y_hat = combine_heads(decode(heads), np.searchsorted(heads, gate_series) + 1)
+    return Prediction(y_hat=y_hat, u_logits=u_logits, gate_series=gate_series)
 
 
 # ---------------------------------------------------------------- losses

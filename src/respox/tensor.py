@@ -46,6 +46,9 @@ def grad_enabled() -> bool:
 
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fn")
+    # numpy operators defer to Tensor's reflected ones, so `array * tensor`
+    # follows the operand rule instead of broadcasting over the Tensor object
+    __array_ufunc__ = None
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -127,6 +130,9 @@ class Tensor:
 
     def __truediv__(self, other):
         return div(self, other)
+
+    def __rtruediv__(self, other):
+        return div(other, self)
 
     def __neg__(self):
         return neg(self)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import logging
 import math
 
@@ -22,7 +23,8 @@ from respox.evaluate import (
     predict_record,
     segment,
 )
-from respox.gate import manual_gate_map
+from respox.container import write_json
+from respox.gate import identity_gate_map, manual_gate_map
 from respox.model import build_model
 from respox.config import tiny_model_config
 
@@ -327,3 +329,27 @@ def test_dump_gated_records_gate_status(tmp_path, micro_records):
     u_hat = np.argmax(pred.u_logits.data, axis=0)
     for r, u in zip(rows, u_hat):
         assert int(r[5]) == 1 + (int(u) % 2)
+
+
+# pinned sha256 of the gated eval output below: the report JSON as `respox
+# eval` writes it, then each night's dump in input order.  Any change to the
+# forward pass, the metrics or the dump format that moves a byte changes it.
+# The float32 forward goes through numpy's BLAS and SIMD math, so the digest
+# holds for one numpy build on one CPU family: if it fails on a new machine
+# with no code change, compare against the parent commit there first.
+GOLDEN_GATED_EVAL_SHA256 = "98eceb3d7b7fcfc8f06a58996a883990c3a07dfcba8b5bcc5b6a5c53ae382ef3"
+
+
+def test_gated_eval_output_matches_golden(tmp_path, micro_records):
+    cfg = tiny_model_config("micro", variant="gated", n_heads=6)
+    params = build_model(cfg, seed=0)
+    gate_map = identity_gate_map(cfg.v_states, cfg.u_classes)
+    report = evaluate(params, cfg, micro_records, gate_map, seg_len=48, group_var="gender")
+    digest = hashlib.sha256()
+    write_json(tmp_path / "report.json", report.to_dict())
+    digest.update((tmp_path / "report.json").read_bytes())
+    for record, y_hat, gate_series in report.nights:
+        path = tmp_path / f"{record.subject_id}.tsv"
+        dump_predictions(record, y_hat, gate_series, str(path))
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == GOLDEN_GATED_EVAL_SHA256

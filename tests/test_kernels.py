@@ -192,12 +192,52 @@ def test_batch_norm_eval_uses_running_stats_and_mutates_nothing():
     np.testing.assert_array_equal(rv.data, before[1])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_batch_norm_output_is_the_textbook_expression_bit_for_bit(dtype, mode):
+    rng = np.random.default_rng(6)
+    x = rng.normal(1.0, 3.0, size=(5, 37)).astype(dtype)
+    gamma, beta, rm, rv = (
+        Tensor(rng.uniform(0.5, 2.0, size=5).astype(dtype), requires_grad=i < 2, dtype=dtype) for i in range(4)
+    )
+    if mode == "train":
+        mu, var = x.mean(axis=1), x.var(axis=1)
+    else:
+        mu, var = rm.data.copy(), rv.data.copy()
+    xhat = (x - mu[:, None]) * (1.0 / np.sqrt(var + 1e-5))[:, None]
+    out = batch_norm1d(Tensor(x, dtype=dtype), gamma, beta, rm, rv, eps=1e-5, mode=mode)
+    assert out.dtype == dtype
+    np.testing.assert_array_equal(out.data, gamma.data[:, None] * xhat + beta.data[:, None])
+    g = rng.normal(size=x.shape).astype(dtype)
+    (out * g).sum().backward()
+    np.testing.assert_array_equal(gamma.grad, (g * xhat).sum(axis=1))
+    np.testing.assert_array_equal(beta.grad, g.sum(axis=1))
+
+
 def test_rrelu_eval_slope_is_midpoint():
     x = t([-48.0, 48.0])
     out = rrelu(x, mode="eval")
     np.testing.assert_allclose(out.data, [-48.0 * (11 / 48), 48.0])
     out.sum().backward()
     np.testing.assert_allclose(x.grad, [11 / 48, 1.0])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bounds", [(1 / 8, 1 / 3), (0.0, 0.999)])
+def test_rrelu_eval_is_the_factor_product_bit_for_bit(dtype, bounds):
+    info = np.finfo(dtype)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, info.tiny, -info.tiny,
+               info.smallest_subnormal, -info.smallest_subnormal, info.max, -info.max]
+    x = np.concatenate([np.array(special, dtype=dtype), np.random.default_rng(4).normal(size=500).astype(dtype)])
+    slope = dtype(sum(bounds) / 2)
+    factor = np.where(x >= 0, dtype(1.0), slope)
+    xt = t(x, dtype)
+    out = rrelu(xt, *bounds, mode="eval")
+    bits = np.uint32 if dtype == np.float32 else np.uint64
+    np.testing.assert_array_equal(out.data.view(bits), (x * factor).view(bits))
+    g = np.random.default_rng(5).normal(size=x.shape).astype(dtype)
+    (out * g).sum().backward()
+    np.testing.assert_array_equal(xt.grad.view(bits), (g * factor).view(bits))
 
 
 def test_rrelu_train_slopes_within_bounds_and_reused_in_backward():

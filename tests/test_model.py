@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from respox import model as model_mod
 from respox.config import ConfigError, tiny_model_config
-from respox.gate import GateMap
+from respox.gate import GateMap, gate_lookup, identity_gate_map
 from respox.model import (
     SKIP_SOURCES,
     GateRangeError,
@@ -15,11 +15,13 @@ from respox.model import (
     as_input,
     build_model,
     combine_heads,
+    decode_head,
     encode,
     forward,
     loss,
     loss_components,
     param_count,
+    predict_inaccessible,
     stage_ce_sum,
 )
 from respox.tensor import Tensor
@@ -27,6 +29,20 @@ from respox.tensor import Tensor
 
 def breathing(duration_s, seed=0):
     return np.random.default_rng(seed).normal(size=10 * duration_s)
+
+
+@pytest.fixture()
+def decoded_heads(monkeypatch):
+    """Head indices that forward passes to model.decode_head, in call order."""
+    heads = []
+    real = model_mod.decode_head
+
+    def counting(params, config, head, *args, **kwargs):
+        heads.append(head)
+        return real(params, config, head, *args, **kwargs)
+
+    monkeypatch.setattr(model_mod, "decode_head", counting)
+    return heads
 
 
 def test_build_is_deterministic():
@@ -102,7 +118,7 @@ def test_running_stats_are_buffers():
 
 
 @pytest.mark.parametrize("variant", ["backbone", "cnn", "varaug", "gated"])
-def test_variant_output_lengths(variant):
+def test_variant_output_lengths(variant, decoded_heads):
     cfg = tiny_model_config("micro", variant=variant, n_heads=2 if variant == "gated" else 1)
     params = build_model(cfg, seed=0)
     duration = 96
@@ -117,7 +133,7 @@ def test_variant_output_lengths(variant):
     else:
         assert pred.u_logits is None
     if variant == "gated":
-        assert pred.per_head.shape == (2, duration)
+        assert len(decoded_heads) == len(np.unique(pred.gate_series))
         assert pred.gate_series.shape == (duration,)
         assert set(np.unique(pred.gate_series)) <= {1, 2}
 
@@ -159,6 +175,56 @@ def test_gated_requires_map_and_state():
     x = as_input(breathing(48), params)
     with pytest.raises(ConfigError):
         forward(params, cfg, x, v=0, mode="eval")
+
+
+def two_head_map():
+    return GateMap(n_heads=2, table={(a, b): 1 + (b % 2) for a in (0, 1) for b in (0, 1, 2)})
+
+
+def gapped_map():
+    """Gender 0 reaches heads 1 and 3, gender 1 only head 2."""
+    return GateMap(n_heads=3, table={(0, 0): 3, (0, 1): 1, (0, 2): 3, (1, 0): 2, (1, 1): 2, (1, 2): 2})
+
+
+GATE_MAPS = {"two_head": two_head_map, "gapped": gapped_map, "identity": lambda: identity_gate_map(2, 3)}
+
+
+@pytest.mark.parametrize("gate", sorted(GATE_MAPS))
+def test_gated_eval_decodes_only_the_gated_heads_and_train_decodes_all(gate, decoded_heads):
+    gate_map = GATE_MAPS[gate]()
+    cfg = tiny_model_config("micro", variant="gated", n_heads=gate_map.n_heads)
+    params = build_model(cfg, seed=0)
+    duration = 96
+    x = as_input(breathing(duration), params)
+    for v in (0, 1):
+        decoded_heads.clear()
+        pred = forward(params, cfg, x, v=v, gate_map=gate_map, mode="eval")
+        assert sorted(decoded_heads) == np.unique(pred.gate_series).tolist()
+    decoded_heads.clear()
+    u = np.arange(duration) % cfg.u_classes
+    forward(params, cfg, x, v=0, u=u, gate_map=gate_map, mode="train", rng=np.random.default_rng(0))
+    assert decoded_heads == list(range(1, cfg.n_heads + 1))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("gate", sorted(GATE_MAPS))
+def test_gated_eval_equals_selecting_from_every_head_bitwise(gate, dtype):
+    gate_map = GATE_MAPS[gate]()
+    cfg = tiny_model_config("micro", variant="gated", n_heads=gate_map.n_heads)
+    params = build_model(cfg, seed=1, dtype=dtype)
+    x = as_input(breathing(96, seed=2), params)
+    features, skips = encode(params, cfg, x, mode="eval")
+    every_head = Tensor(
+        np.stack([decode_head(params, cfg, h, features, skips).data for h in range(1, cfg.n_heads + 1)]),
+        dtype=dtype,
+    )
+    u_hat = np.argmax(predict_inaccessible(params, cfg, features).data, axis=0)
+    for v in (0, 1):
+        gate_series = gate_lookup(gate_map, v, u_hat)
+        pred = forward(params, cfg, x, v=v, gate_map=gate_map, mode="eval")
+        assert pred.y_hat.dtype == dtype
+        np.testing.assert_array_equal(pred.gate_series, gate_series)
+        np.testing.assert_array_equal(pred.y_hat.data, combine_heads(every_head, gate_series).data)
 
 
 @given(

@@ -1,3 +1,5 @@
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -169,17 +171,21 @@ def test_mixed_dtype_rejected():
 @pytest.mark.parametrize("const", [0.3, np.array([[1.5], [-2.0]])], ids=["number", "array"])
 @pytest.mark.parametrize("tensor_left", [True, False], ids=["tensor_left", "tensor_right"])
 def test_number_or_array_operand_joins_as_a_constant(dtype, op, const, tensor_left):
-    def run(c):
+    def run(apply, c):
         x = Tensor(np.array([[0.5, -1.25, 2.0], [1.5, 0.75, -0.5]]), requires_grad=True, dtype=dtype)
-        out = op(x, c) if tensor_left else op(c, x)
+        out = apply(x, c) if tensor_left else apply(c, x)
+        assert isinstance(out, Tensor)
         (out * out).sum().backward()
         return out, x.grad
 
-    out, grad = run(const)
-    ref, ref_grad = run(Tensor(const, dtype=dtype))
-    assert out.dtype == dtype and grad.dtype == dtype
-    np.testing.assert_array_equal(out.data, ref.data)
-    np.testing.assert_array_equal(grad, ref_grad)
+    ref, ref_grad = run(op, Tensor(const, dtype=dtype))
+    # the function and its operator (`c * x` runs numpy's operator first when c is an array)
+    symbol = {add: operator.add, sub: operator.sub, mul: operator.mul, div: operator.truediv}[op]
+    for apply in (op, symbol):
+        out, grad = run(apply, const)
+        assert out.dtype == dtype and grad.dtype == dtype
+        np.testing.assert_array_equal(out.data, ref.data)
+        np.testing.assert_array_equal(grad, ref_grad)
 
 
 def test_dtype_is_preserved_through_ops():
