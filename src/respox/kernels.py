@@ -72,11 +72,11 @@ def _check_conv_args(stride: int, padding: int) -> None:
 def _im2col(x: np.ndarray, k: int, stride: int, padding: int, out_len: int) -> np.ndarray:
     """The [C*k, out_len] im2col matrix: cols[i*k + j, t] = x_padded[i, t*stride + j]."""
     c, length = x.shape
-    needed = (out_len - 1) * stride + k
-    right = max(0, needed - (length + padding))
-    xp = np.pad(x, ((0, 0), (padding, right)))
-    windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)[:, ::stride, :]
-    return windows[:, :out_len, :].transpose(0, 2, 1).reshape(c * k, out_len)
+    xp = np.zeros((c, max(padding + length, (out_len - 1) * stride + k)), dtype=x.dtype)
+    xp[:, padding : padding + length] = x
+    s0, s1 = xp.strides
+    windows = np.lib.stride_tricks.as_strided(xp, (c, k, out_len), (s0, s1, stride * s1), writeable=False)
+    return windows.reshape(c * k, out_len)
 
 
 def _scatter(x: np.ndarray, w: np.ndarray, stride: int, padding: int, out_len: int) -> np.ndarray:

@@ -98,14 +98,14 @@ class Tensor:
         order = _toposort(self)
         seed = np.ones_like(self.data)
         self.grad = seed if self.grad is None else self.grad + seed
-        for node in reversed(order):
-            if node._grad_fn is None:
-                continue
-            g = node.grad
-            if g is None:
-                continue
-            parts = node._grad_fn(g)
-            for parent, pg in zip(node._parents, parts):
+        while order:
+            node = order.pop()
+            grad_fn, parents, g = node._grad_fn, node._parents, node.grad
+            if grad_fn is None or g is None:
+                continue  # a leaf keeps its gradient
+            # the graph is spent as it is walked: drop this node's grad, closure and parents
+            node.grad, node._grad_fn, node._parents = None, None, ()
+            for parent, pg in zip(parents, grad_fn(g)):
                 if pg is None:
                     continue
                 parent.grad = pg if parent.grad is None else parent.grad + pg

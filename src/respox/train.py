@@ -4,6 +4,11 @@ Reproducibility contract: every stochastic choice derives from the run seed
 through named seed sequences - record order from (seed, epoch), rrelu slope
 draws from (seed, epoch, step) - so a run resumed from any epoch boundary
 replays the exact bit stream of an uninterrupted run.
+
+Flat layout: init_adam copies the trainable params, in `params` order, into
+one vector and makes each Tensor.data a view of it; Adam's m and v are two
+vectors of that layout.  adam_step updates them in place, one bucket at a
+time: a run of tensors of about ADAM_BUCKET elements, or one larger tensor.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 AUTO_CLIP_NORM = 10.0
+ADAM_BUCKET = 1 << 16  # elements per adam_step bucket
 
 
 class TrainingError(RuntimeError):
@@ -42,35 +48,66 @@ class TrainingError(RuntimeError):
 
 @dataclass
 class AdamState:
-    m: dict
+    m: dict  # name -> view of the flat m vector
     v: dict
     t: int = 0
     lr: float = 2e-4
+    flat: tuple = ()  # the (params, m, v) vectors
+    buckets: list = field(default_factory=list)  # [start, stop, names]
+    scratch: np.ndarray | None = None  # gathers the grads of one multi-tensor bucket
 
 
 def init_adam(params: dict, lr: float) -> AdamState:
-    m = {name: np.zeros_like(t.data) for name, t in params.items() if t.requires_grad}
-    v = {name: np.zeros_like(t.data) for name, t in params.items() if t.requires_grad}
-    return AdamState(m=m, v=v, lr=lr)
+    """Lay the trainable params out flat (see the module docstring); zero the moments."""
+    names = [name for name, t in params.items() if t.requires_grad]
+    if len({params[name].dtype for name in names}) != 1:
+        raise TrainingError("Adam needs trainable parameters of one dtype")
+    flat = np.concatenate([params[name].data.ravel() for name in names])
+    state = AdamState(m={}, v={}, lr=lr, flat=(flat, np.zeros_like(flat), np.zeros_like(flat)))
+    start = 0
+    for name in names:
+        tensor = params[name]
+        stop = start + tensor.size
+        tensor.data, state.m[name], state.v[name] = (vec[start:stop].reshape(tensor.shape) for vec in state.flat)
+        if state.buckets and max(tensor.size, start - state.buckets[-1][0]) < ADAM_BUCKET:
+            state.buckets[-1][1] = stop
+            state.buckets[-1][2].append(name)
+        else:
+            state.buckets.append([start, stop, [name]])
+        start = stop
+    runs = [stop - start for start, stop, names in state.buckets if len(names) > 1]
+    state.scratch = np.empty(max(runs, default=0), dtype=flat.dtype)
+    return state
+
+
+def _bucket_grad(params: dict, names: list, out: np.ndarray | None) -> np.ndarray:
+    """A bucket's gradients as one flat array, in `out` if several; a missing one counts as zero."""
+    grads = [np.zeros(t.size, t.dtype) if t.grad is None else t.grad for t in map(params.get, names)]
+    return grads[0].reshape(-1) if len(grads) == 1 else np.concatenate(grads, axis=None, out=out)
 
 
 def adam_step(params: dict, state: AdamState) -> None:
-    """One bias-corrected Adam update, in place; missing gradients count as zero."""
+    """One bias-corrected Adam update, in place; missing gradients count as zero.
+
+    All gradients are checked before anything changes, so a rejected step
+    leaves the parameters, the moments and `t` as they were.
+    """
+    if any(params[name].data.base is not state.flat[0] for name in state.m):
+        raise TrainingError("adam_step needs the params that init_adam laid out")
+    for start, stop, names in state.buckets:
+        if not np.isfinite(_bucket_grad(params, names, state.scratch[: stop - start])).all():
+            bad = next(n for n in names if not np.isfinite(_bucket_grad(params, [n], None)).all())
+            raise TrainingError(f"non-finite gradient in {bad!r} at step {state.t + 1}")
     state.t += 1
-    bc1 = 1.0 - ADAM_BETA1 ** state.t
-    bc2 = 1.0 - ADAM_BETA2 ** state.t
-    for name in state.m:
-        tensor = params[name]
-        grad = tensor.grad
-        if grad is None:
-            grad = np.zeros_like(tensor.data)
-        elif not np.all(np.isfinite(grad)):
-            raise TrainingError(f"non-finite gradient in {name!r} at step {state.t}")
-        state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * grad
-        state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * grad * grad
-        m_hat = state.m[name] / bc1
-        v_hat = state.v[name] / bc2
-        tensor.data -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    bc1, bc2 = 1.0 - ADAM_BETA1**state.t, 1.0 - ADAM_BETA2**state.t
+    for start, stop, names in state.buckets:
+        g = _bucket_grad(params, names, state.scratch[: stop - start])
+        p_b, m_b, v_b = (vec[start:stop] for vec in state.flat)
+        m_b *= ADAM_BETA1
+        m_b += (1.0 - ADAM_BETA1) * g
+        v_b *= ADAM_BETA2
+        v_b += (1.0 - ADAM_BETA2) * g * g
+        p_b -= state.lr * (m_b / bc1) / (np.sqrt(v_b / bc2) + ADAM_EPS)
 
 
 def clip_gradients(params: dict, max_norm: float) -> float:
@@ -90,23 +127,16 @@ def clip_gradients(params: dict, max_norm: float) -> float:
 
 
 def adam_to_optimizer_dict(state: AdamState) -> dict:
-    out = {}
-    for name, arr in state.m.items():
-        out[f"adam.m.{name}"] = arr
-    for name, arr in state.v.items():
-        out[f"adam.v.{name}"] = arr
-    return out
+    moments = (("m", state.m), ("v", state.v))
+    return {f"adam.{key}.{name}": view for key, views in moments for name, view in views.items()}
 
 
 def adam_from_checkpoint(params: dict, optimizer: dict, meta: dict) -> AdamState:
     state = init_adam(params, lr=float(meta.get("adam_lr", 2e-4)))
     state.t = int(meta.get("adam_t", 0))
-    for name in state.m:
-        m_key, v_key = f"adam.m.{name}", f"adam.v.{name}"
-        if m_key in optimizer:
-            state.m[name] = optimizer[m_key].astype(state.m[name].dtype, copy=True)
-        if v_key in optimizer:
-            state.v[name] = optimizer[v_key].astype(state.v[name].dtype, copy=True)
+    for key, view in adam_to_optimizer_dict(state).items():
+        if key in optimizer:
+            view[...] = optimizer[key]  # into the flat layout's views
     return state
 
 
@@ -167,7 +197,6 @@ def train(
     if adam is None:
         adam = init_adam(params, lr=train_cfg.lr)
     end_epoch = train_cfg.epochs if end_epoch is None else end_epoch
-    trainable = [name for name, t in params.items() if t.requires_grad]
 
     train_log = TrainLog(seed=train_cfg.seed, config_hash=config_hash)
     clip_norm = train_cfg.grad_clip
@@ -205,7 +234,7 @@ def train(
                 del pred, loss
                 continue
 
-            for name in trainable:
+            for name in adam.m:
                 params[name].grad = None
             loss.backward()
             del pred, loss  # free this step's graph before the next forward builds one

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from respox.kernels import (
     ATTENTION_PARAM_KEYS,
+    _im2col,
     attention_param_shapes,
     batch_norm1d,
     conv1d,
@@ -141,6 +142,40 @@ def test_conv_weight_gradient_matches_loops(op, stride, x_grad):
     (out * Tensor(g, dtype=np.float64)).sum().backward()
     np.testing.assert_allclose(wt.grad, loop_weight_grad(op, x, g, k, stride, padding), atol=1e-10)
     assert (xt.grad is not None) == x_grad
+
+
+def pad_and_window_im2col(x, k, stride, padding, out_len):
+    """The im2col construction _im2col replaced: np.pad plus sliding_window_view."""
+    c, length = x.shape
+    right = max(0, (out_len - 1) * stride + k - (length + padding))
+    xp = np.pad(x, ((0, 0), (padding, right)))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)[:, ::stride, :]
+    return windows[:, :out_len, :].transpose(0, 2, 1).reshape(c * k, out_len)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_im2col_matches_pad_and_sliding_window_bit_for_bit(dtype):
+    rng = np.random.default_rng(0)
+    cases = 0
+    for c, length, k, stride, padding in np.ndindex(3, 9, 8, 4, 4):
+        c, length, k, stride = c + 1, length + 1, k + 1, stride + 1
+        if length + 2 * padding < k:
+            continue
+        conv_len = (length + 2 * padding - k) // stride + 1
+        # conv_len: conv1d's output length, and the input length of a
+        # conv_transpose1d whose output has `length`; that backward's windows
+        # run past the gradient's end into the right padding.  Longer out_lens
+        # run further past it.
+        for out_len in {1, conv_len, conv_len + 2, length + 3}:
+            wide = rng.normal(size=(c, 2 * length)).astype(dtype)
+            # contiguous, or strided as an upstream gradient may be
+            x = wide[:, ::2] if cases % 2 else np.ascontiguousarray(wide[:, :length])
+            got = _im2col(x, k, stride, padding, out_len)
+            want = pad_and_window_im2col(x, k, stride, padding, out_len)
+            assert got.dtype == dtype and got.shape == want.shape == (c * k, out_len)
+            assert got.tobytes() == want.tobytes(), (c, length, k, stride, padding, out_len)
+            cases += 1
+    assert cases > 3000
 
 
 def test_conv_shape_errors():

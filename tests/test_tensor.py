@@ -156,6 +156,18 @@ def test_no_grad_suppresses_graph():
     assert a.grad is None
 
 
+def test_backward_frees_interior_nodes_and_keeps_leaf_grads():
+    a, b = tensor([1.0, 2.0]), tensor([3.0, -1.0])
+    c = a * b
+    d = softmax(c + a, axis=-1)
+    loss = (d * c).sum()
+    loss.backward()
+    for node in (c, d, loss):
+        assert node.grad is None and node._grad_fn is None and node._parents == ()
+    np.testing.assert_allclose(c.data, [3.0, -2.0])  # values stay
+    assert a.grad is not None and b.grad is not None
+
+
 def test_mixed_dtype_rejected():
     a = Tensor(np.zeros(3, dtype=np.float32), dtype=np.float32)
     b = Tensor(np.zeros(3, dtype=np.float64), dtype=np.float64)

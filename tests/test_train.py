@@ -11,6 +11,7 @@ from respox.config import ConfigError, GateConfig, TrainConfig, tiny_model_confi
 from respox.model import build_model
 from respox.tensor import Tensor
 from respox.train import (
+    ADAM_BUCKET,
     AUTO_CLIP_NORM,
     TrainingError,
     TrainLog,
@@ -108,6 +109,119 @@ def test_adam_checkpoint_roundtrip():
     assert restored.lr == 0.005
     np.testing.assert_array_equal(restored.m["w"], state.m["w"])
     np.testing.assert_array_equal(restored.v["w"], state.v["w"])
+
+
+# Sizes around ADAM_BUCKET: tensors alone in a bucket (large ones, and a small
+# one between two large ones) and runs, one of them closed on reaching the size.
+BUCKET_SIZES = [3, ADAM_BUCKET + 5, 9, ADAM_BUCKET, 40_000, 30_000, 7, (2, 5), 1, (4, 3, 2)]
+
+
+def _bucket_params(dtype, seed=0):
+    rng = np.random.default_rng(seed)
+    return {
+        f"p{i}": Tensor(rng.normal(size=size).astype(dtype), requires_grad=True, dtype=dtype)
+        for i, size in enumerate(BUCKET_SIZES)
+    }
+
+
+def _per_tensor_adam(data, grads, m, v, t, lr):
+    """The update adam_step replaced: one tensor at a time, fresh arrays."""
+    bc1, bc2 = 1.0 - 0.9**t, 1.0 - 0.999**t
+    for name, grad in grads.items():
+        grad = np.zeros_like(data[name]) if grad is None else grad
+        m[name] = 0.9 * m[name] + (1.0 - 0.9) * grad
+        v[name] = 0.999 * v[name] + (1.0 - 0.999) * grad * grad
+        data[name] = data[name] - lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + 1e-8)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_matches_the_per_tensor_update_bit_for_bit(dtype):
+    params = _bucket_params(dtype)
+    state = init_adam(params, lr=3e-3)
+    assert len(state.buckets) > 3 and any(len(names) > 1 for _, _, names in state.buckets)
+    data = {name: t.data.copy() for name, t in params.items()}
+    m = {name: np.zeros_like(arr) for name, arr in data.items()}
+    v = {name: np.zeros_like(arr) for name, arr in data.items()}
+    rng = np.random.default_rng(1)
+    for step in range(1, 5):
+        grads = {
+            name: None if (i + step) % 4 == 0 else rng.normal(size=t.shape).astype(dtype)
+            for i, (name, t) in enumerate(params.items())
+        }
+        for name, grad in grads.items():
+            params[name].grad = grad
+        adam_step(params, state)
+        _per_tensor_adam(data, grads, m, v, step, 3e-3)
+        assert state.t == step
+        for name, t in params.items():
+            assert t.data.dtype == dtype and t.data.tobytes() == data[name].tobytes(), name
+            assert state.m[name].tobytes() == m[name].tobytes(), name
+            assert state.v[name].tobytes() == v[name].tobytes(), name
+
+
+def _byte_offset(view, base):
+    return view.__array_interface__["data"][0] - base.__array_interface__["data"][0]
+
+
+def test_init_adam_lays_params_and_moments_out_flat_in_params_order():
+    params = _bucket_params(np.float32)
+    params["bn.running_mean"] = Tensor(np.zeros(3, dtype=np.float32), dtype=np.float32)
+    before = {name: t.data.copy() for name, t in params.items()}
+    state = init_adam(params, lr=0.1)
+    flat, m, v = state.flat
+    offset = 0
+    for name, tensor in params.items():
+        np.testing.assert_array_equal(tensor.data, before[name])
+        if not tensor.requires_grad:
+            assert not np.shares_memory(tensor.data, flat)
+            continue
+        for view, base in ((tensor.data, flat), (state.m[name], m), (state.v[name], v)):
+            assert view.base is base and view.shape == tensor.shape
+            assert _byte_offset(view, base) == offset * flat.itemsize
+        offset += tensor.size
+    assert flat.size == m.size == v.size == offset
+    # buckets tile the layout; a multi-tensor bucket holds only tensors below the bucket size
+    assert [b[0] for b in state.buckets[1:]] == [b[1] for b in state.buckets[:-1]]
+    assert state.buckets[0][0] == 0 and state.buckets[-1][1] == offset
+    for _, _, names in state.buckets:
+        assert len(names) == 1 or all(params[n].size < ADAM_BUCKET for n in names)
+
+
+def test_adam_from_checkpoint_fills_the_flat_views():
+    params = _bucket_params(np.float32)
+    state = init_adam(params, lr=0.01)
+    for tensor in params.values():
+        tensor.grad = np.ones(tensor.shape, dtype=np.float32)
+    adam_step(params, state)
+    fresh = _bucket_params(np.float32, seed=1)
+    restored = adam_from_checkpoint(fresh, adam_to_optimizer_dict(state), {"adam_t": 1, "adam_lr": 0.01})
+    for name in params:
+        assert restored.m[name].base is restored.flat[1] and restored.v[name].base is restored.flat[2]
+        assert fresh[name].data.base is restored.flat[0]
+        np.testing.assert_array_equal(restored.m[name], state.m[name])
+        np.testing.assert_array_equal(restored.v[name], state.v[name])
+
+
+def test_rejected_adam_step_changes_nothing():
+    params = _bucket_params(np.float32)
+    state = init_adam(params, lr=0.01)
+    for tensor in params.values():
+        tensor.grad = np.ones(tensor.shape, dtype=np.float32)
+    adam_step(params, state)
+    before = [vec.copy() for vec in state.flat]
+    last = list(params)[-1]
+    params[last].grad = np.full(params[last].shape, np.inf, dtype=np.float32)
+    with pytest.raises(TrainingError, match=f"{last!r} at step 2"):
+        adam_step(params, state)
+    assert state.t == 1
+    for vec, old in zip(state.flat, before):
+        assert vec.tobytes() == old.tobytes()
+
+
+def test_adam_step_rejects_params_it_did_not_lay_out():
+    state = init_adam({"w": _param([1.0])}, lr=0.1)
+    with pytest.raises(TrainingError):
+        adam_step({"w": _param([1.0])}, state)
 
 
 # ---------------------------------------------------------------- clipping
