@@ -119,6 +119,20 @@ def _rand(rng, shape, dtype, lo=-1.0, hi=1.0, keep_away=0.0):
     return Tensor(data.astype(dtype), requires_grad=True, dtype=dtype)
 
 
+# (transposed, stride, mode, x takes a gradient) of the fused block fixtures;
+# the first is shaped like the first encoder layer, whose input is data.
+BLOCK_CASES = (
+    (False, 1, "train", False),
+    (False, 2, "train", True),
+    (False, 1, "eval", True),
+    (False, 3, "eval", True),
+    (True, 1, "train", True),
+    (True, 2, "train", True),
+    (True, 1, "eval", False),
+    (True, 2, "eval", True),
+)
+
+
 def run_suite(seed: int = 0, instances: int = 20) -> list[CheckResult]:
     """Gradient-check every kernel plus a composed stack, in both precisions."""
     results: list[CheckResult] = []
@@ -209,6 +223,33 @@ def run_suite(seed: int = 0, instances: int = 20) -> list[CheckResult]:
         if inst < max(4, instances // 4):
             _dual_check(f"attention{suffix}", build_attn, results)
 
+    block_seed = int(base_rng.integers(0, 2**31 - 1))
+    for transposed, stride, mode, x_grad in BLOCK_CASES:
+
+        def build_block(dtype, transposed=transposed, stride=stride, mode=mode, x_grad=x_grad):
+            r = np.random.default_rng(block_seed)
+            c_in, c_out, k, length = 2, 3, 3, 7
+            x = _rand(r, (c_in, length), dtype)
+            x.requires_grad = x_grad
+            w = _rand(r, (c_in, c_out, k) if transposed else (c_out, c_in, k), dtype)
+            b = _rand(r, (c_out,), dtype)
+            gamma = _rand(r, (c_out,), dtype, 0.5, 1.5)
+            beta = _rand(r, (c_out,), dtype)
+            rm = Tensor(r.uniform(-0.3, 0.3, c_out).astype(dtype), dtype=dtype)
+            rv = Tensor(r.uniform(0.5, 1.5, c_out).astype(dtype), dtype=dtype)
+
+            def fn(xx, ww, bb, gg, be):
+                # a fresh generator per call draws the same train-mode slopes for every probe
+                return kernels.conv_bn_rrelu(
+                    xx, ww, bb, gg, be, rm, rv, stride=stride, padding=k // 2, transposed=transposed,
+                    output_padding=stride - 1 if transposed else 0, mode=mode, rng=np.random.default_rng(block_seed),
+                )
+
+            return fn, [x, w, b, gamma, beta]
+
+        kind = "deconv" if transposed else "conv"
+        _dual_check(f"conv_bn_rrelu.{kind}.s{stride}.{mode}{'' if x_grad else '.x_const'}", build_block, results)
+
     return results
 
 
@@ -221,34 +262,30 @@ def _rrelu_kink_margin(model_mod, cfg, params, x_np) -> float:
     (seed, eps) pair.
     """
     margins = [np.inf]
-    rrelu = kernels.rrelu
+    tail = kernels._rrelu_tail
 
-    def observed(x, *args, **kwargs):
-        if x.size:
-            margins.append(float(np.min(np.abs(x.data))))
-        return rrelu(x, *args, **kwargs)
+    def observed(y, *args, **kwargs):
+        if y.size:
+            margins.append(float(np.min(np.abs(y))))
+        return tail(y, *args, **kwargs)
 
-    kernels.rrelu = observed  # the model calls rrelu through the kernels module
+    # every block's rrelu, fused or not, runs through the kernels module's tail
+    kernels._rrelu_tail = observed
     try:
         with no_grad():
             x = Tensor(x_np, dtype=np.float64)
             model_mod.forward(params, cfg, x, mode="eval")
     finally:
-        kernels.rrelu = rrelu
+        kernels._rrelu_tail = tail
     return min(margins)
 
 
-def run_model_suite(seed: int = 0) -> list[CheckResult]:
-    """Whole-model check: encoder -> bottleneck -> decoder -> loss, eval-mode activations."""
-    from . import model as model_mod
-    from .config import tiny_model_config
+def _kink_safe_draw(model_mod, cfg, seed: int, duration: int):
+    """(seed, kink margin, input) of the best of up to 40 weight/input draws.
 
-    results: list[CheckResult] = []
-    cfg = tiny_model_config(scale="micro")
-    duration = 48
-
-    # Scan for a weight/input draw whose pre-activations all keep a healthy
-    # distance from the rrelu kink, then size eps well under that margin.
+    Scans for a draw whose pre-activations all keep a healthy distance from
+    the rrelu kink; the model suite then sizes eps well under that margin.
+    """
     best_seed, best_margin, best_x = seed, -1.0, None
     for candidate in range(seed, seed + 40):
         rng = np.random.default_rng(candidate)
@@ -259,8 +296,19 @@ def run_model_suite(seed: int = 0) -> list[CheckResult]:
             best_seed, best_margin, best_x = candidate, margin, x_np
         if margin > 1e-3:
             break
+    return best_seed, best_margin, best_x
+
+
+def run_model_suite(seed: int = 0) -> list[CheckResult]:
+    """Whole-model check: encoder -> bottleneck -> decoder -> loss, eval-mode activations."""
+    from . import model as model_mod
+    from .config import tiny_model_config
+
+    results: list[CheckResult] = []
+    cfg = tiny_model_config(scale="micro")
+    duration = 48
+    best_seed, best_margin, x_np = _kink_safe_draw(model_mod, cfg, seed, duration)
     eps = min(1e-6, best_margin / 100.0)
-    x_np = best_x
     y_np = np.random.default_rng(best_seed).uniform(0.9, 0.99, size=(cfg.fo * duration,))
 
     def build(dtype):

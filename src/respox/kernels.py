@@ -10,6 +10,21 @@ x, and conv_transpose1d's backward builds the im2col matrix of the
 upstream gradient once for both its input and weight gradients.  The
 remaining direction of each (conv1d's input gradient, conv_transpose1d's
 forward) scatters one GEMM per kernel tap.
+
+The network's layers are two fused kernels, each one graph node that runs
+the numpy operations of the composition it replaces, in the same order, so
+outputs, running statistics, rrelu draws and gradients match it bit for bit:
+
+- conv_bn_rrelu: conv1d (or conv_transpose1d), batch_norm1d, rrelu.  Backward
+  keeps the im2col matrix (conv) or x (deconv), xhat, the per-channel
+  1/sqrt(var + eps) and the rrelu factor.
+- multi_head_self_attention: a post-norm transformer encoder block.  Backward
+  keeps the per-head q, k and v, the softmax probabilities [h, L, L], both
+  layer norms' xhat and 1/sqrt(var + eps), and the GELU input and tanh; it
+  rebuilds the context, the first layer norm's output and the GELU output.
+
+conv1d, conv_transpose1d, batch_norm1d and rrelu are the references the fused
+block is checked against; the decoders' 1x1 projections use conv1d.
 """
 
 from __future__ import annotations
@@ -19,12 +34,15 @@ import numpy as np
 from .tensor import (
     ShapeError,
     Tensor,
+    _builds_graph,
+    _centre,
     _from_op,
-    concat,
-    gelu,
-    layer_norm,
-    matmul,
-    softmax,
+    _gelu_slope,
+    _gelu_tanh,
+    _gelu_value,
+    _layer_norm_backward,
+    _layer_norm_forward,
+    _unnormalize_grad,
 )
 
 __all__ = [
@@ -34,6 +52,7 @@ __all__ = [
     "conv_transpose_output_length",
     "batch_norm1d",
     "rrelu",
+    "conv_bn_rrelu",
     "RRELU_LOWER",
     "RRELU_UPPER",
     "multi_head_self_attention",
@@ -43,6 +62,7 @@ __all__ = [
 
 RRELU_LOWER = 1.0 / 8.0
 RRELU_UPPER = 1.0 / 3.0
+LAYER_NORM_EPS = 1e-12
 
 
 def conv_output_length(length: int, kernel: int, stride: int, padding: int) -> int:
@@ -75,7 +95,7 @@ def _im2col(x: np.ndarray, k: int, stride: int, padding: int, out_len: int) -> n
     xp = np.zeros((c, max(padding + length, (out_len - 1) * stride + k)), dtype=x.dtype)
     xp[:, padding : padding + length] = x
     s0, s1 = xp.strides
-    windows = np.lib.stride_tricks.as_strided(xp, (c, k, out_len), (s0, s1, stride * s1), writeable=False)
+    windows = np.ndarray((c, k, out_len), xp.dtype, xp, 0, (s0, s1, stride * s1))
     return windows.reshape(c * k, out_len)
 
 
@@ -91,6 +111,68 @@ def _scatter(x: np.ndarray, w: np.ndarray, stride: int, padding: int, out_len: i
     return full[:, padding : padding + out_len]
 
 
+def _conv_length(x, weight, bias, stride, padding, output_padding, transposed) -> int:
+    """Output length of conv1d (or conv_transpose1d), after checking every operand's shape."""
+    name = "conv_transpose1d" if transposed else "conv1d"
+    _check_conv_args(stride, padding)
+    if transposed and not 0 <= output_padding < max(stride, 1):
+        raise ShapeError(f"output_padding {output_padding} must lie in [0, stride)")
+    if x.ndim != 2 or weight.ndim != 3:
+        layout = "[C_in, C_out, k]" if transposed else "[C_out, C_in, k]"
+        raise ShapeError(f"{name} expects x [C_in, L] and weight {layout}, got {x.shape}, {weight.shape}")
+    c_in, length = x.shape
+    c_out, w_in = weight.shape[:2]
+    if transposed:
+        w_in, c_out = c_out, w_in
+    if w_in != c_in:
+        raise ShapeError(f"{name} channel mismatch: x has {c_in}, weight expects {w_in}")
+    if bias is not None and bias.shape != (c_out,):
+        raise ShapeError(f"{name} bias must have shape ({c_out},), got {bias.shape}")
+    if transposed:
+        return conv_transpose_output_length(length, weight.shape[2], stride, padding, output_padding)
+    return conv_output_length(length, weight.shape[2], stride, padding)
+
+
+def _conv_forward(xd, wd, stride, padding, out_len, transposed):
+    """(output without bias, the im2col matrix conv1d's backward reuses, or None)."""
+    if transposed:
+        return _scatter(xd, wd, stride, padding, out_len), None
+    cols = _im2col(xd, wd.shape[2], stride, padding, out_len)
+    return wd.reshape(wd.shape[0], -1) @ cols, cols
+
+
+def _conv_grad(g, xd, wd, cols, stride, padding, transposed, need_x, need_w):
+    """(gx, gw) of _conv_forward for the upstream gradient g."""
+    k, length = wd.shape[2], xd.shape[1]
+    if transposed:
+        # g's im2col feeds both products: gx correlates g with the same weight,
+        # its axes read as [out=C_in, in=C_out, k].
+        cols = _im2col(g, k, stride, padding, length)
+        gx = wd.reshape(wd.shape[0], -1) @ cols if need_x else None
+        gw = (xd @ cols.T).reshape(wd.shape) if need_w else None
+    else:
+        gx = _scatter(g, wd, stride, padding, length) if need_x else None
+        gw = (g @ cols.T).reshape(wd.shape) if need_w else None
+    return gx, gw
+
+
+def _conv(x, weight, bias, stride, padding, output_padding, transposed):
+    out_len = _conv_length(x, weight, bias, stride, padding, output_padding, transposed)
+    xd, wd = x.data, weight.data
+    out, cols = _conv_forward(xd, wd, stride, padding, out_len, transposed)
+    if bias is not None:
+        out = out + bias.data[:, None]
+
+    def grad_fn(g):
+        gx, gw = _conv_grad(g, xd, wd, cols, stride, padding, transposed, x.requires_grad, weight.requires_grad)
+        if bias is None:
+            return gx, gw
+        return gx, gw, (g.sum(axis=1) if bias.requires_grad else None)
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return _from_op(out, parents, grad_fn)
+
+
 def conv1d(
     x: Tensor,
     weight: Tensor,
@@ -99,32 +181,7 @@ def conv1d(
     padding: int = 0,
 ) -> Tensor:
     """Strided 1-D cross-correlation: [C_in, L] -> [C_out, L_out]."""
-    _check_conv_args(stride, padding)
-    if x.ndim != 2 or weight.ndim != 3:
-        raise ShapeError(f"conv1d expects x [C_in, L] and weight [C_out, C_in, k], got {x.shape}, {weight.shape}")
-    c_in, length = x.shape
-    c_out, w_in, k = weight.shape
-    if w_in != c_in:
-        raise ShapeError(f"conv1d channel mismatch: x has {c_in}, weight expects {w_in}")
-    if bias is not None and bias.shape != (c_out,):
-        raise ShapeError(f"conv1d bias must have shape ({c_out},), got {bias.shape}")
-    out_len = conv_output_length(length, k, stride, padding)
-    wd = weight.data
-    cols = _im2col(x.data, k, stride, padding, out_len)
-    out = wd.reshape(c_out, c_in * k) @ cols
-    if bias is not None:
-        out = out + bias.data[:, None]
-
-    def grad_fn(g):
-        gx = _scatter(g, wd, stride, padding, length) if x.requires_grad else None
-        gw = (g @ cols.T).reshape(wd.shape) if weight.requires_grad else None
-        if bias is None:
-            return gx, gw
-        gb = g.sum(axis=1) if bias.requires_grad else None
-        return gx, gw, gb
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return _from_op(out, parents, grad_fn)
+    return _conv(x, weight, bias, stride, padding, 0, transposed=False)
 
 
 def conv_transpose1d(
@@ -136,39 +193,59 @@ def conv_transpose1d(
     output_padding: int = 0,
 ) -> Tensor:
     """Adjoint of conv1d: [C_in, L] -> [C_out, (L-1)*stride - 2*padding + k + output_padding]."""
-    _check_conv_args(stride, padding)
-    if not 0 <= output_padding < max(stride, 1):
-        raise ShapeError(f"output_padding {output_padding} must lie in [0, stride)")
-    if x.ndim != 2 or weight.ndim != 3:
-        raise ShapeError(
-            f"conv_transpose1d expects x [C_in, L] and weight [C_in, C_out, k], got {x.shape}, {weight.shape}"
-        )
-    c_in, length = x.shape
-    w_in, c_out, k = weight.shape
-    if w_in != c_in:
-        raise ShapeError(f"conv_transpose1d channel mismatch: x has {c_in}, weight expects {w_in}")
-    if bias is not None and bias.shape != (c_out,):
-        raise ShapeError(f"conv_transpose1d bias must have shape ({c_out},), got {bias.shape}")
-    out_len = conv_transpose_output_length(length, k, stride, padding, output_padding)
-    out = _scatter(x.data, weight.data, stride, padding, out_len)
-    if bias is not None:
-        out = out + bias.data[:, None]
-    wd = weight.data
-    xd = x.data
+    return _conv(x, weight, bias, stride, padding, output_padding, transposed=True)
 
-    def grad_fn(g):
-        # g's im2col feeds both products: gx correlates g with the same weight,
-        # its axes read as [out=C_in, in=C_out, k].
-        cols = _im2col(g, k, stride, padding, length)
-        gx = wd.reshape(c_in, c_out * k) @ cols if x.requires_grad else None
-        gw = (xd @ cols.T).reshape(wd.shape) if weight.requires_grad else None
-        if bias is None:
-            return gx, gw
-        gb = g.sum(axis=1) if bias.requires_grad else None
-        return gx, gw, gb
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return _from_op(out, parents, grad_fn)
+def _check_batch_norm(shape, gamma, beta, running_mean, running_var, mode) -> None:
+    if mode not in ("train", "eval"):
+        raise ShapeError(f"batch_norm1d mode must be train or eval, got {mode!r}")
+    if len(shape) != 2:
+        raise ShapeError(f"batch_norm1d expects [C, L], got {shape}")
+    c, length = shape
+    if length < 1:
+        raise ShapeError("batch_norm1d needs at least one sample per channel")
+    for name, t in (("gamma", gamma), ("beta", beta), ("running_mean", running_mean), ("running_var", running_var)):
+        if t.shape != (c,):
+            raise ShapeError(f"batch_norm1d {name} must have shape ({c},), got {t.shape}")
+
+
+def _batch_norm(h, gamma, beta, running_mean, running_var, eps, momentum, mode, keep):
+    """Batch norm of the array h [C, L] over time: (output, xhat or None, inv [C]).
+
+    Train mode normalizes with the biased batch statistics (np.mean and np.var
+    bit for bit) and folds them into the running estimates in place; eval
+    mode normalizes with the running estimates, overwriting h.  xhat is
+    returned for backward when `keep`; otherwise the output is built in it.
+    """
+    if mode == "train":
+        xhat, mean, var = _centre(h)
+        mu, var = mean[:, 0], var[:, 0]
+        length = h.shape[1]
+        unbiased = var * (length / (length - 1)) if length > 1 else var
+        running_mean.data[...] = (1.0 - momentum) * running_mean.data + momentum * mu
+        running_var.data[...] = (1.0 - momentum) * running_var.data + momentum * unbiased
+    else:
+        var = running_var.data
+        xhat = np.subtract(h, running_mean.data[:, None], out=h)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat *= inv[:, None]
+    gd = gamma.data[:, None]
+    out = xhat * gd if keep else np.multiply(xhat, gd, out=xhat)
+    out += beta.data[:, None]
+    return out, (xhat if keep else None), inv
+
+
+def _batch_norm_grad(g, xhat, inv, gd, mode, need_x, need_gamma, need_beta):
+    """(gx, ggamma, gbeta) of _batch_norm for the upstream gradient g."""
+    gx = None
+    if need_x:
+        if mode == "train":
+            gx = _unnormalize_grad(g * gd[:, None], xhat, inv[:, None])
+        else:
+            gx = g * (gd * inv)[:, None]
+    ggamma = (g * xhat).sum(axis=1) if need_gamma else None
+    gbeta = g.sum(axis=1) if need_beta else None
+    return gx, ggamma, gbeta
 
 
 def batch_norm1d(
@@ -187,64 +264,42 @@ def batch_norm1d(
     the running estimates in place (unbiased variance, n/(n-1)); eval mode
     normalizes with the running estimates and touches nothing.
     """
+    _check_batch_norm(x.shape, gamma, beta, running_mean, running_var, mode)
+    parents = (x, gamma, beta)
+    # _batch_norm may overwrite its input
+    out, xhat, inv = _batch_norm(
+        x.data.copy(), gamma, beta, running_mean, running_var, eps, momentum, mode, keep=_builds_graph(parents)
+    )
+
+    def grad_fn(g):
+        return _batch_norm_grad(g, xhat, inv, gamma.data, mode, x.requires_grad, gamma.requires_grad, beta.requires_grad)
+
+    return _from_op(out, parents, grad_fn)
+
+
+def _rrelu_tail(y, lower, upper, mode, rng, keep):
+    """rrelu of the array y: (output, the factor backward multiplies by, or None).
+
+    Train mode draws one slope per entry from U[lower, upper], in y's shape,
+    and uses it where y < 0.  Eval mode uses the fixed slope
+    (lower + upper) / 2 and returns the factor only when `keep`.
+    """
     if mode not in ("train", "eval"):
-        raise ShapeError(f"batch_norm1d mode must be train or eval, got {mode!r}")
-    if x.ndim != 2:
-        raise ShapeError(f"batch_norm1d expects [C, L], got {x.shape}")
-    c, length = x.shape
-    if length < 1:
-        raise ShapeError("batch_norm1d needs at least one sample per channel")
-    for name, t in (("gamma", gamma), ("beta", beta), ("running_mean", running_mean), ("running_var", running_var)):
-        if t.shape != (c,):
-            raise ShapeError(f"batch_norm1d {name} must have shape ({c},), got {t.shape}")
-    xd = x.data
+        raise ShapeError(f"rrelu mode must be train or eval, got {mode!r}")
+    if not (0.0 <= lower <= upper < 1.0):
+        raise ShapeError(f"rrelu bounds must satisfy 0 <= lower <= upper < 1, got ({lower}, {upper})")
+    one = y.dtype.type(1.0)
     if mode == "train":
-        mu = xd.mean(axis=1)
-        var = xd.var(axis=1)
-        unbiased = var * (length / (length - 1)) if length > 1 else var
-        running_mean.data[...] = (1.0 - momentum) * running_mean.data + momentum * mu
-        running_var.data[...] = (1.0 - momentum) * running_var.data + momentum * unbiased
-    else:
-        mu = running_mean.data
-        var = running_var.data
-    inv = 1.0 / np.sqrt(var + eps)
-    gd = gamma.data
-
-    if mode == "train":
-        xhat = (xd - mu[:, None]) * inv[:, None]
-        out = gd[:, None] * xhat + beta.data[:, None]
-
-        def grad_fn(g):
-            gx = None
-            if x.requires_grad:
-                dxhat = g * gd[:, None]
-                gx = inv[:, None] * (
-                    dxhat
-                    - dxhat.mean(axis=1, keepdims=True)
-                    - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
-                )
-            ggamma = (g * xhat).sum(axis=1) if gamma.requires_grad else None
-            gbeta = g.sum(axis=1) if beta.requires_grad else None
-            return gx, ggamma, gbeta
-
-    else:
-        # gamma * xhat + beta built in one array, by the same operations in
-        # the same order; backward rebuilds xhat, which inference never needs,
-        # from running statistics that nothing updates in eval mode
-        out = xd - mu[:, None]
-        out *= inv[:, None]
-        out *= gd[:, None]
-        out += beta.data[:, None]
-
-        def grad_fn(g):
-            gx = g * (gd * inv)[:, None] if x.requires_grad else None
-            ggamma = None
-            if gamma.requires_grad:
-                ggamma = (g * ((xd - mu[:, None]) * inv[:, None])).sum(axis=1)
-            gbeta = g.sum(axis=1) if beta.requires_grad else None
-            return gx, ggamma, gbeta
-
-    return _from_op(out, (x, gamma, beta), grad_fn)
+        if rng is None:
+            raise ShapeError("rrelu train mode requires an rng")
+        slopes = rng.uniform(lower, upper, size=y.shape).astype(y.dtype, copy=False)
+        factor = np.where(y >= 0, one, slopes)
+        return y * factor, factor
+    # max(slope * y, y) equals y * where(y >= 0, 1, slope) bit for bit, -0.0,
+    # NaN payloads and underflow included; the one exception is +inf at slope
+    # 0, which gives NaN
+    slope = y.dtype.type((lower + upper) / 2.0)
+    return np.maximum(slope * y, y), (np.where(y >= 0, one, slope) if keep else None)
 
 
 def rrelu(
@@ -260,34 +315,62 @@ def rrelu(
     reuses the drawn slopes in backward; eval mode uses the fixed slope
     (lower + upper) / 2.
     """
-    if mode not in ("train", "eval"):
-        raise ShapeError(f"rrelu mode must be train or eval, got {mode!r}")
-    if not (0.0 <= lower <= upper < 1.0):
-        raise ShapeError(f"rrelu bounds must satisfy 0 <= lower <= upper < 1, got ({lower}, {upper})")
-    xd = x.data
-    one = xd.dtype.type(1.0)
-    if mode == "train":
-        if rng is None:
-            raise ShapeError("rrelu train mode requires an rng")
-        slopes = rng.uniform(lower, upper, size=xd.shape).astype(xd.dtype)
-        factor = np.where(xd >= 0, one, slopes)
-        out = xd * factor
+    out, factor = _rrelu_tail(x.data, lower, upper, mode, rng, keep=_builds_graph((x,)))
+    return _from_op(out, (x,), lambda g: (g * factor,))
 
-        def grad_fn(g):
-            return (g * factor,)
 
+def conv_bn_rrelu(
+    x: Tensor,
+    weight: Tensor,
+    bias: Tensor,
+    gamma: Tensor,
+    beta: Tensor,
+    running_mean: Tensor,
+    running_var: Tensor,
+    stride: int = 1,
+    padding: int = 0,
+    transposed: bool = False,
+    output_padding: int = 0,
+    eps: float = 1e-5,
+    momentum: float = 0.1,
+    lower: float = RRELU_LOWER,
+    upper: float = RRELU_UPPER,
+    mode: str = "eval",
+    rng: np.random.Generator | None = None,
+) -> Tensor:
+    """conv1d (conv_transpose1d when `transposed`), batch_norm1d, then rrelu, as one graph node.
+
+    Bit for bit the composition of the three kernels: output, running
+    statistics, rrelu draws and every gradient.  Without a graph the bias
+    and the eval batch norm run in place on the conv output.
+    """
+    out_len = _conv_length(x, weight, bias, stride, padding, output_padding, transposed)
+    _check_batch_norm((weight.shape[1 if transposed else 0], out_len), gamma, beta, running_mean, running_var, mode)
+    parents = (x, weight, bias, gamma, beta)
+    graph = _builds_graph(parents)
+    xd, wd = x.data, weight.data
+    h, cols = _conv_forward(xd, wd, stride, padding, out_len, transposed)
+    if not graph:
+        cols = None
+    if transposed:
+        h = h + bias.data[:, None]  # h was a window of _scatter's buffer
     else:
-        # max(slope * x, x) equals x * where(x >= 0, 1, slope) bit for bit,
-        # -0.0, NaN payloads and underflow included, in one array instead of
-        # two; the one exception is +inf at slope 0, which gives NaN
-        slope = xd.dtype.type((lower + upper) / 2.0)
-        out = slope * xd
-        np.maximum(out, xd, out=out)
+        h += bias.data[:, None]
+    y, xhat, inv = _batch_norm(h, gamma, beta, running_mean, running_var, eps, momentum, mode, keep=graph)
+    del h
+    out, factor = _rrelu_tail(y, lower, upper, mode, rng, keep=graph)
+    need_h = x.requires_grad or weight.requires_grad or bias.requires_grad
 
-        def grad_fn(g):
-            return (g * np.where(xd >= 0, one, slope),)
+    def grad_fn(g):
+        gh, ggamma, gbeta = _batch_norm_grad(
+            g * factor, xhat, inv, gamma.data, mode, need_h, gamma.requires_grad, beta.requires_grad
+        )
+        if gh is None:
+            return None, None, None, ggamma, gbeta
+        gx, gw = _conv_grad(gh, xd, wd, cols, stride, padding, transposed, x.requires_grad, weight.requires_grad)
+        return gx, gw, (gh.sum(axis=1) if bias.requires_grad else None), ggamma, gbeta
 
-    return _from_op(out, (x,), grad_fn)
+    return _from_op(out, parents, grad_fn)
 
 
 ATTENTION_PARAM_KEYS = (
@@ -307,12 +390,18 @@ def attention_param_shapes(d: int, n_heads: int, d_ff: int) -> dict[str, tuple[i
     }
 
 
+def _affine(a: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = a @ w
+    out += b
+    return out
+
+
 def multi_head_self_attention(
     x: Tensor,
     params: dict[str, Tensor],
     n_heads: int,
 ) -> Tensor:
-    """One post-norm transformer encoder block on [L, d] token rows.
+    """One post-norm transformer encoder block on [L, d] token rows, as one graph node.
 
     Self-attention -> residual add -> layer norm -> GELU feed-forward ->
     residual add -> layer norm.  Weights are [d_in, d_out].
@@ -321,6 +410,11 @@ def multi_head_self_attention(
     n_heads * head_width columns and the output projection maps back to d.
     When n_heads divides d that is the usual square layout; otherwise the
     concatenated context is slightly narrower than d.
+
+    Each head's q and v are laid out once as contiguous [h, L, d_head]
+    copies and k as [h, d_head, L], so every head runs the GEMMs of the
+    composition of tensor ops bit for bit.  Without a graph one [L, L] score
+    buffer serves every head.
     """
     if x.ndim != 2:
         raise ShapeError(f"attention expects [L, d] tokens, got {x.shape}")
@@ -330,30 +424,72 @@ def multi_head_self_attention(
     missing = [key for key in ATTENTION_PARAM_KEYS if key not in params]
     if missing:
         raise ShapeError(f"attention params missing {missing}")
+    weights = [params[key] for key in ATTENTION_PARAM_KEYS]
+    shapes = attention_param_shapes(d, n_heads, params["ff1_w"].shape[-1])
+    for key, t in zip(ATTENTION_PARAM_KEYS, weights):
+        if t.shape != shapes[key] or t.dtype != x.dtype:
+            raise ShapeError(f"attention {key} must be {shapes[key]} {x.dtype}, got {t.shape} {t.dtype}")
+    qw, qb, kw, kb, vw, vb, ow, ob, g1, b1, fw1, fb1, fw2, fb2, g2, b2 = (t.data for t in weights)
+    xd = x.data
     d_head = d // n_heads
-    scale = 1.0 / float(np.sqrt(d_head))
+    scale = xd.dtype.type(1.0 / float(np.sqrt(d_head)))
+    graph = _builds_graph([x, *weights])
 
-    q = matmul(x, params["q_w"]) + params["q_b"]
-    k = matmul(x, params["k_w"]) + params["k_b"]
-    v = matmul(x, params["v_w"]) + params["v_b"]
-    all_head = n_heads * d_head
-    if q.shape[1] != all_head or k.shape[1] != all_head or v.shape[1] != all_head:
-        raise ShapeError(
-            f"q/k/v projections must be {all_head} wide for {n_heads} heads of {d_head},"
-            f" got {q.shape[1]}/{k.shape[1]}/{v.shape[1]}"
-        )
+    def per_head(a, axes):
+        return np.ascontiguousarray(a.reshape(length, n_heads, d_head).transpose(axes))
 
+    q = per_head(_affine(xd, qw, qb), (1, 0, 2))
+    k = per_head(_affine(xd, kw, kb), (1, 2, 0))
+    v = per_head(_affine(xd, vw, vb), (1, 0, 2))
+    probs = np.empty((n_heads if graph else 1, length, length), dtype=xd.dtype)
     contexts = []
     for h in range(n_heads):
-        qh = q.narrow(1, h * d_head, d_head)
-        kh = k.narrow(1, h * d_head, d_head)
-        vh = v.narrow(1, h * d_head, d_head)
-        scores = matmul(qh, kh.t()) * scale
-        attn = softmax(scores, axis=1)
-        contexts.append(matmul(attn, vh))
-    ctx = contexts[0] if n_heads == 1 else concat(contexts, axis=1)
+        p = probs[h if graph else 0]
+        np.matmul(q[h], k[h], out=p)
+        p *= scale
+        p -= p.max(axis=1, keepdims=True)  # softmax, in place
+        np.exp(p, out=p)
+        p /= p.sum(axis=1, keepdims=True)
+        contexts.append(p @ v[h])
+    r1 = _affine(np.concatenate(contexts, axis=1), ow, ob)
+    r1 += xd
+    del contexts
+    h1, xhat1, inv1 = _layer_norm_forward(r1, g1, b1, LAYER_NORM_EPS)
+    f1 = _affine(h1, fw1, fb1)
+    th = _gelu_tanh(f1)
+    r2 = _affine(_gelu_value(f1, th), fw2, fb2)
+    r2 += h1
+    out, xhat2, inv2 = _layer_norm_forward(r2, g2, b2, LAYER_NORM_EPS)
 
-    attn_out = matmul(ctx, params["o_w"]) + params["o_b"]
-    h1 = layer_norm(x + attn_out, params["ln1_g"], params["ln1_b"])
-    ff = matmul(gelu(matmul(h1, params["ff1_w"]) + params["ff1_b"]), params["ff2_w"]) + params["ff2_b"]
-    return layer_norm(h1 + ff, params["ln2_g"], params["ln2_b"])
+    def grad_fn(g):
+        gr2, g_g2, g_b2 = _layer_norm_backward(g, g2, xhat2, inv2)
+        g_f1 = (gr2 @ fw2.T) * _gelu_slope(f1, th)
+        h1 = xhat1 * g1 + b1
+        gr1, g_g1, g_b1 = _layer_norm_backward(gr2 + g_f1 @ fw1.T, g1, xhat1, inv1)
+        ctx = np.concatenate([probs[h] @ v[h] for h in range(n_heads)], axis=1)
+        g_ctx = gr1 @ ow.T
+        dq, dk, dv = (np.empty((length, n_heads * d_head), dtype=xd.dtype) for _ in range(3))
+        for h in range(n_heads):
+            cols = slice(h * d_head, (h + 1) * d_head)
+            gc, p = g_ctx[:, cols], probs[h]
+            dv[:, cols] = p.T @ gc
+            ds = gc @ v[h].T  # through the softmax and the scale, in place
+            ds -= (ds * p).sum(axis=1, keepdims=True)
+            ds *= p
+            ds *= scale
+            dq[:, cols] = ds @ k[h].T
+            dk[:, cols] = (q[h].T @ ds).T
+        # the residual's gradient first, then the q, k and v projections', each
+        # sum a new array as the composition's accumulation made it
+        gx = gr1 + dq @ qw.T
+        gx = gx + dk @ kw.T
+        gx = gx + dv @ vw.T
+        grads = (
+            gx,
+            xd.T @ dq, dq.sum(axis=0), xd.T @ dk, dk.sum(axis=0), xd.T @ dv, dv.sum(axis=0),
+            ctx.T @ gr1, gr1.sum(axis=0), g_g1, g_b1,
+            h1.T @ g_f1, g_f1.sum(axis=0), _gelu_value(f1, th).T @ gr2, gr2.sum(axis=0), g_g2, g_b2,
+        )
+        return tuple(gr if t.requires_grad else None for t, gr in zip((x, *weights), grads))
+
+    return _from_op(out, (x, *weights), grad_fn)

@@ -178,45 +178,29 @@ def param_count(params: ModelParams) -> int:
 # ---------------------------------------------------------------- forward
 
 
-def _bn_rrelu(params, prefix, h, config, mode, rng):
-    """Batch norm then randomized leaky ReLU: the tail every (de)conv block shares."""
-    h = kernels.batch_norm1d(
-        h,
+def _block(params, prefix, x, stride, config, mode, rng, transposed):
+    """One layer built by _add_block: (de)conv, batch norm and rrelu in one kernel call."""
+    kind = "deconv" if transposed else "conv"
+    lo, hi = config.rrelu_bounds
+    return kernels.conv_bn_rrelu(
+        x,
+        params[f"{prefix}.{kind}.weight"],
+        params[f"{prefix}.{kind}.bias"],
         params[f"{prefix}.bn.gamma"],
         params[f"{prefix}.bn.beta"],
         params[f"{prefix}.bn.running_mean"],
         params[f"{prefix}.bn.running_var"],
+        stride=stride,
+        padding=config.kernel_size // 2,
+        transposed=transposed,
+        output_padding=stride - 1 if transposed else 0,
         eps=config.bn_eps,
         momentum=config.bn_momentum,
+        lower=lo,
+        upper=hi,
         mode=mode,
+        rng=rng,
     )
-    lo, hi = config.rrelu_bounds
-    return kernels.rrelu(h, lo, hi, mode=mode, rng=rng)
-
-
-def _conv_block(params, prefix, x, stride, config, mode, rng):
-    k = config.kernel_size
-    h = kernels.conv1d(
-        x,
-        params[f"{prefix}.conv.weight"],
-        params[f"{prefix}.conv.bias"],
-        stride=stride,
-        padding=k // 2,
-    )
-    return _bn_rrelu(params, prefix, h, config, mode, rng)
-
-
-def _deconv_block(params, prefix, x, stride, config, mode, rng):
-    k = config.kernel_size
-    h = kernels.conv_transpose1d(
-        x,
-        params[f"{prefix}.deconv.weight"],
-        params[f"{prefix}.deconv.bias"],
-        stride=stride,
-        padding=k // 2,
-        output_padding=stride - 1,
-    )
-    return _bn_rrelu(params, prefix, h, config, mode, rng)
 
 
 def encode(
@@ -248,7 +232,7 @@ def encode(
     h = x
     outputs = []
     for i in range(encoder_layer_count(config)):
-        h = _conv_block(params, f"encoder.{i}", h, config.encoder_strides[i], config, mode, rng)
+        h = _block(params, f"encoder.{i}", h, config.encoder_strides[i], config, mode, rng, transposed=False)
         outputs.append(h)
 
     skips = [outputs[j] for j in SKIP_SOURCES] if uses_skips(config) else None
@@ -272,7 +256,7 @@ def encode(
 def _decode(params, prefix, h, strides, skips, config, mode, rng):
     """Walk a decoder built by _add_decoder; block i's output is joined with skips[i]."""
     for i, stride in enumerate(strides):
-        h = _deconv_block(params, f"{prefix}.{i}", h, stride, config, mode, rng)
+        h = _block(params, f"{prefix}.{i}", h, stride, config, mode, rng, transposed=True)
         if skips is not None and i < len(skips):
             h = concat([h, skips[i]], axis=0)
     return kernels.conv1d(h, params[f"{prefix}.proj.weight"], params[f"{prefix}.proj.bias"])

@@ -165,6 +165,11 @@ class Tensor:
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
+    """The root and every node above it that has parents, in post-order.
+
+    Leaves (parameters, constants) have nothing to walk, so they are left
+    out; that leaves the order of the other nodes as it is.
+    """
     order: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
@@ -178,14 +183,23 @@ def _toposort(root: Tensor) -> list[Tensor]:
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in seen:
+            if p._parents and id(p) not in seen:
                 stack.append((p, False))
     return order
 
 
+def _builds_graph(parents: Sequence[Tensor]) -> bool:
+    """Whether an op on these parents records a graph node (what _from_op decides)."""
+    if _GRAD_STACK[-1]:
+        for p in parents:
+            if p.requires_grad:
+                return True
+    return False
+
+
 def _from_op(data: np.ndarray, parents: Sequence[Tensor], grad_fn: Callable) -> Tensor:
     out = Tensor(data)
-    if grad_enabled() and any(p.requires_grad for p in parents):
+    if _builds_graph(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._grad_fn = grad_fn
@@ -422,6 +436,10 @@ def take(a: Tensor, indices: np.ndarray, axis: int = 0) -> Tensor:
 
 
 # ---- smooth nonlinearities ----
+#
+# The array-level halves of gelu and layer_norm are shared with the fused
+# attention kernel (kernels.multi_head_self_attention), so both run the same
+# numpy operations in the same order.
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -454,43 +472,78 @@ _GELU_C = 0.7978845608028654  # sqrt(2 / pi)
 _GELU_A = 0.044715
 
 
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    return np.tanh(_GELU_C * (x + _GELU_A * x * x * x))
+
+
+def _gelu_value(x: np.ndarray, th: np.ndarray) -> np.ndarray:
+    return 0.5 * x * (1.0 + th)
+
+
+def _gelu_slope(x: np.ndarray, th: np.ndarray) -> np.ndarray:
+    du = _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
+    return 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * du
+
+
 def gelu(a: Tensor) -> Tensor:
     x = a.data
-    u = _GELU_C * (x + _GELU_A * x * x * x)
-    th = np.tanh(u)
-    out = 0.5 * x * (1.0 + th)
+    th = _gelu_tanh(x)
+    return _from_op(_gelu_value(x, th), (a,), lambda g: (g * _gelu_slope(x, th),))
 
-    def grad_fn(g):
-        du = _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
-        d = 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * du
-        return (g * d,)
 
-    return _from_op(out, (a,), grad_fn)
+def _mean_last(a: np.ndarray) -> np.ndarray:
+    """a.mean(axis=-1, keepdims=True) bit for bit, the two ufunc calls np.mean makes."""
+    total = np.add.reduce(a, axis=-1, keepdims=True)
+    return np.true_divide(total, np.intp(a.shape[-1]), out=total, casting="unsafe")
+
+
+def _centre(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a - mean, mean, biased variance) over the last axis, keepdims.
+
+    One mean serves all three; mean and variance equal np.mean and np.var
+    bit for bit.
+    """
+    mean = _mean_last(a)
+    centred = a - mean
+    return centred, mean, _mean_last(np.square(centred))
+
+
+def _unnormalize_grad(dxhat: np.ndarray, xhat: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """Gradient through xhat = (x - mean) * inv, statistics over the last axis.
+
+    Upstream gradients arrive in any memory layout, and the layout numpy
+    picks for each temporary decides the summation order of later
+    reductions, so this keeps the one expression rather than working in place.
+    """
+    return inv * (dxhat - _mean_last(dxhat) - xhat * _mean_last(dxhat * xhat))
+
+
+def _layer_norm_forward(xd, gd, bd, eps: float):
+    """(gamma * xhat + beta, xhat, inv) with xhat = (x - mean) * inv over the last axis."""
+    xhat, _, var = _centre(xd)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat *= inv
+    out = xhat * gd
+    out += bd
+    return out, xhat, inv
+
+
+def _layer_norm_backward(g, gd, xhat, inv):
+    """(gx, ggamma, gbeta) of _layer_norm_forward."""
+    d = xhat.shape[-1]
+    ggamma = (g * xhat).reshape(-1, d).sum(axis=0)
+    gbeta = g.reshape(-1, d).sum(axis=0)
+    return _unnormalize_grad(g * gd, xhat, inv), ggamma, gbeta
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Tensor:
     """Normalize the last axis of x to zero mean / unit variance, then scale-shift."""
     if gamma.shape != (x.shape[-1],) or beta.shape != (x.shape[-1],):
         raise ShapeError(f"layer_norm scale/shift must have shape ({x.shape[-1]},)")
-    xd = x.data
-    mu = xd.mean(axis=-1, keepdims=True)
-    var = xd.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (xd - mu) * inv
-    out = gamma.data * xhat + beta.data
+    out, xhat, inv = _layer_norm_forward(x.data, gamma.data, beta.data, eps)
 
     def grad_fn(g):
-        d = x.shape[-1]
-        gx = None
-        if x.requires_grad:
-            dxhat = g * gamma.data
-            gx = inv * (
-                dxhat
-                - dxhat.mean(axis=-1, keepdims=True)
-                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-            )
-        ggamma = (g * xhat).reshape(-1, d).sum(axis=0) if gamma.requires_grad else None
-        gbeta = g.reshape(-1, d).sum(axis=0) if beta.requires_grad else None
-        return gx, ggamma, gbeta
+        grads = _layer_norm_backward(g, gamma.data, xhat, inv)
+        return tuple(gr if t.requires_grad else None for t, gr in zip((x, gamma, beta), grads))
 
     return _from_op(out, (x, gamma, beta), grad_fn)

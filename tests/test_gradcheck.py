@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
+from respox import model as model_mod
+from respox.config import tiny_model_config
 from respox.gradcheck import (
+    BLOCK_CASES,
     CheckResult,
+    _kink_safe_draw,
+    _rrelu_kink_margin,
     grad_check,
     relative_error,
     run_all,
@@ -79,3 +84,22 @@ def test_run_all_returns_results_and_elapsed():
     assert elapsed > 0.0
     assert all(r.passed for r in results)
     assert {r.dtype for r in results} == {"float64", "float32"}
+
+
+def test_run_suite_checks_every_fused_block_case_in_both_precisions():
+    results = [r for r in run_suite(seed=0, instances=1) if r.name.startswith("conv_bn_rrelu.")]
+    assert len(results) == 2 * len(BLOCK_CASES)
+    assert all(r.passed for r in results)
+    names = {r.name for r in results}
+    assert {"conv_bn_rrelu.conv.s1.train.x_const", "conv_bn_rrelu.deconv.s2.eval"} <= names
+    assert {r.dtype for r in results} == {"float64", "float32"}
+
+
+def test_kink_margin_observes_every_fused_block():
+    """The margins the model suite sizes eps by: the values the three-kernel blocks gave."""
+    cfg = tiny_model_config(scale="micro")
+    x_np = np.random.default_rng(0).uniform(-1.0, 1.0, size=(1, cfg.fb * 48))
+    params = model_mod.build_model(cfg, seed=0, dtype=np.float64)
+    assert _rrelu_kink_margin(model_mod, cfg, params, x_np) == 9.036052006775082e-07
+    best_seed, best_margin, _ = _kink_safe_draw(model_mod, cfg, 0, 48)
+    assert (best_seed, best_margin) == (25, 1.2033229271061334e-05)

@@ -9,13 +9,14 @@ from respox.kernels import (
     attention_param_shapes,
     batch_norm1d,
     conv1d,
+    conv_bn_rrelu,
     conv_output_length,
     conv_transpose1d,
     conv_transpose_output_length,
     multi_head_self_attention,
     rrelu,
 )
-from respox.tensor import ShapeError, Tensor
+from respox.tensor import ShapeError, Tensor, _toposort, concat, gelu, layer_norm, matmul, softmax
 
 
 def t(data, dtype=np.float64, grad=True):
@@ -249,6 +250,38 @@ def test_batch_norm_output_is_the_textbook_expression_bit_for_bit(dtype, mode):
     np.testing.assert_array_equal(beta.grad, g.sum(axis=1))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_batch_norm_input_gradient_is_the_textbook_expression_bit_for_bit(dtype, mode):
+    """Values and memory layout: a gradient's layout sets how later reductions sum it."""
+    rng = np.random.default_rng(7)
+    x = rng.normal(1.0, 3.0, size=(5, 37)).astype(dtype)
+    gamma, beta = (t(rng.uniform(0.5, 2.0, size=5), dtype) for _ in range(2))
+    rm, rv = (Tensor(rng.uniform(0.5, 2.0, size=5).astype(dtype), dtype=dtype) for _ in range(2))
+    mu, var = (x.mean(axis=1), x.var(axis=1)) if mode == "train" else (rm.data.copy(), rv.data.copy())
+    inv = 1.0 / np.sqrt(var + 1e-5)
+    xhat = (x - mu[:, None]) * inv[:, None]
+    xt = t(x, dtype)
+    out = batch_norm1d(xt, gamma, beta, rm, rv, eps=1e-5, mode=mode)
+    upstream = rng.normal(size=x.shape[::-1]).astype(dtype)
+    (out.t() * Tensor(upstream, dtype=dtype)).sum().backward()
+    g = upstream.T  # column-major, as a transpose hands it back
+    if mode == "train":
+        dxhat = g * gamma.data[:, None]
+        want = inv[:, None] * (dxhat - dxhat.mean(axis=1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=1, keepdims=True))
+    else:
+        want = g * (gamma.data * inv)[:, None]
+    assert xt.grad.tobytes() == want.tobytes() and xt.grad.strides == want.strides
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_rrelu_train_draws_one_slope_per_entry_in_row_major_order(dtype):
+    x = np.random.default_rng(1).normal(size=(3, 50)).astype(dtype)
+    out = rrelu(t(x, dtype), mode="train", rng=np.random.default_rng(2))
+    slopes = np.random.default_rng(2).uniform(1 / 8, 1 / 3, size=x.shape).astype(dtype)
+    assert out.data.tobytes() == (x * np.where(x >= 0, dtype(1.0), slopes)).tobytes()
+
+
 def test_rrelu_eval_slope_is_midpoint():
     x = t([-48.0, 48.0])
     out = rrelu(x, mode="eval")
@@ -339,3 +372,130 @@ def test_attention_rejects_too_many_heads_and_wrong_widths():
     params["q_b"] = t(np.zeros(5))
     with pytest.raises(ShapeError):
         multi_head_self_attention(t(rng.normal(size=(4, 8))), params, n_heads=2)
+
+
+def block_operands(rng, dtype, transposed, x_grad, c_in=3, c_out=4, length=20, k=7):
+    x = t(rng.normal(size=(c_in, length)), dtype, grad=x_grad)
+    w = t(rng.normal(size=(c_in, c_out, k) if transposed else (c_out, c_in, k)), dtype)
+    bias, gamma, beta = (t(rng.normal(size=c_out), dtype) for _ in range(3))
+    running = (
+        Tensor(rng.normal(size=c_out).astype(dtype), dtype=dtype),
+        Tensor(rng.uniform(0.5, 2.0, size=c_out).astype(dtype), dtype=dtype),
+    )
+    return [x, w, bias, gamma, beta], running
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("transposed", [False, True])
+@pytest.mark.parametrize("x_grad", [True, False])
+def test_conv_bn_rrelu_is_the_three_kernels_bit_for_bit(dtype, mode, stride, transposed, x_grad):
+    k, padding, op = 7, 3, (stride - 1 if transposed else 0)
+    results = []
+    for fused in (True, False):
+        operands, (rm, rv) = block_operands(np.random.default_rng(stride), dtype, transposed, x_grad)
+        x, w, bias, gamma, beta = operands
+        rng = np.random.default_rng(9)
+        if fused:
+            out = conv_bn_rrelu(
+                x, w, bias, gamma, beta, rm, rv, stride=stride, padding=padding,
+                transposed=transposed, output_padding=op, mode=mode, rng=rng,
+            )
+        else:
+            if transposed:
+                h = conv_transpose1d(x, w, bias, stride=stride, padding=padding, output_padding=op)
+            else:
+                h = conv1d(x, w, bias, stride=stride, padding=padding)
+            out = rrelu(batch_norm1d(h, gamma, beta, rm, rv, mode=mode), mode=mode, rng=rng)
+        g = np.random.default_rng(4).normal(size=out.shape[::-1]).astype(dtype)
+        # the upstream gradient arrives transposed, in column-major layout, as
+        # the last encoder block's does through the bottleneck
+        (out.t() * Tensor(g, dtype=dtype)).sum().backward()
+        results.append((out.data, rm.data, rv.data, rng.bit_generator.state, [p.grad for p in operands]))
+    (out_f, rm_f, rv_f, state_f, grads_f), (out_r, rm_r, rv_r, state_r, grads_r) = results
+    assert out_f.dtype == dtype and out_f.tobytes() == out_r.tobytes()
+    assert rm_f.tobytes() == rm_r.tobytes() and rv_f.tobytes() == rv_r.tobytes()
+    assert state_f == state_r
+    assert (grads_f[0] is None) == (not x_grad)
+    for gf, gr in zip(grads_f, grads_r):
+        assert (gf is None and gr is None) or gf.tobytes() == gr.tobytes()
+
+
+def test_conv_bn_rrelu_eval_without_a_graph_matches_and_keeps_nothing():
+    operands, (rm, rv) = block_operands(np.random.default_rng(0), np.float32, True, True)
+    x, w, bias, gamma, beta = operands
+    kwargs = dict(stride=2, padding=3, output_padding=1)
+    from respox.tensor import no_grad
+
+    with no_grad():
+        fused = conv_bn_rrelu(*operands, rm, rv, transposed=True, **kwargs)
+    want = rrelu(batch_norm1d(conv_transpose1d(x, w, bias, **kwargs), gamma, beta, rm, rv, mode="eval"))
+    assert fused._grad_fn is None and not fused.requires_grad
+    assert fused.data.tobytes() == want.data.tobytes()
+
+
+def composite_attention(x, params, n_heads):
+    """The attention block as 34 tensor ops: the reference for the one-node kernel."""
+    d_head = x.shape[1] // n_heads
+    scale = 1.0 / float(np.sqrt(d_head))
+    q = matmul(x, params["q_w"]) + params["q_b"]
+    k = matmul(x, params["k_w"]) + params["k_b"]
+    v = matmul(x, params["v_w"]) + params["v_b"]
+    contexts = []
+    for h in range(n_heads):
+        qh = q.narrow(1, h * d_head, d_head)
+        kh = k.narrow(1, h * d_head, d_head)
+        vh = v.narrow(1, h * d_head, d_head)
+        attn = softmax(matmul(qh, kh.t()) * scale, axis=1)
+        contexts.append(matmul(attn, vh))
+    ctx = contexts[0] if n_heads == 1 else concat(contexts, axis=1)
+    attn_out = matmul(ctx, params["o_w"]) + params["o_b"]
+    h1 = layer_norm(x + attn_out, params["ln1_g"], params["ln1_b"])
+    ff = matmul(gelu(matmul(h1, params["ff1_w"]) + params["ff1_b"]), params["ff2_w"]) + params["ff2_b"]
+    return layer_norm(h1 + ff, params["ln2_g"], params["ln2_b"])
+
+
+def random_attention_params(rng, d, n_heads, d_ff, dtype):
+    params = {}
+    for key, shape in attention_param_shapes(d, n_heads, d_ff).items():
+        lo, hi = (0.5, 1.5) if key.endswith("_g") else (-0.5, 0.5)
+        params[key] = t(rng.uniform(lo, hi, size=shape), dtype)
+    return params
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "length, d, n_heads, d_ff",
+    [(10, 4, 2, 8), (100, 256, 6, 512), (10, 10, 3, 20), (7, 8, 1, 16)],
+    ids=["micro", "full-width", "heads-do-not-divide", "one-head"],
+)
+def test_attention_is_the_composite_bit_for_bit(dtype, length, d, n_heads, d_ff):
+    results = []
+    for attention in (multi_head_self_attention, composite_attention):
+        rng = np.random.default_rng(length + d)
+        x = t(rng.normal(size=(length, d)), dtype)
+        params = random_attention_params(rng, d, n_heads, d_ff, dtype)
+        out = attention(x, params, n_heads)
+        g = rng.normal(size=(d, length)).astype(dtype)
+        # a transposed upstream gradient, as the bottleneck's last layer receives
+        (out.t() * Tensor(g, dtype=dtype)).sum().backward()
+        results.append([out.data, x.grad] + [params[key].grad for key in ATTENTION_PARAM_KEYS])
+    fused, composite = results
+    assert len(fused) == 18 and fused[0].dtype == dtype
+    for name, a, b in zip(["out", "x"] + list(ATTENTION_PARAM_KEYS), fused, composite):
+        assert a.tobytes() == b.tobytes(), name
+
+
+def test_attention_adds_one_graph_node_and_keeps_none_without_a_graph():
+    from respox.tensor import no_grad
+
+    rng = np.random.default_rng(8)
+    params = random_attention_params(rng, 8, 2, 16, np.float64)
+    x = t(rng.normal(size=(5, 8)))
+    out = multi_head_self_attention(x, params, n_heads=2)
+    assert [n for n in _toposort(out) if n._grad_fn is not None] == [out]
+    assert out._parents[0] is x and len(out._parents) == 17
+    with no_grad():
+        bare = multi_head_self_attention(x, params, n_heads=2)
+    assert bare._grad_fn is None and bare.data.tobytes() == out.data.tobytes()

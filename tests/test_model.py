@@ -24,7 +24,7 @@ from respox.model import (
     predict_inaccessible,
     stage_ce_sum,
 )
-from respox.tensor import Tensor
+from respox.tensor import Tensor, _toposort
 
 
 def breathing(duration_s, seed=0):
@@ -343,3 +343,15 @@ def test_train_mode_uses_rng_and_eval_does_not():
     np.testing.assert_array_equal(a, b)
     with pytest.raises(Exception):
         forward(params, cfg, x, mode="train")  # rng required in train mode
+
+
+def test_micro_gated_train_step_is_at_most_60_graph_nodes():
+    """One node per (de)conv block and per attention layer: 139 nodes before fusing."""
+    cfg = tiny_model_config("micro", variant="gated", n_heads=2)
+    params = build_model(cfg, seed=0)
+    duration = 240
+    x = as_input(breathing(duration), params)
+    u = np.arange(duration) % cfg.u_classes
+    pred = forward(params, cfg, x, v=0, u=u, gate_map=two_head_map(), mode="train", rng=np.random.default_rng(0))
+    total, _ = loss(pred.y_hat, np.full(duration, 0.95), 0.2)
+    assert len([n for n in _toposort(total) if n._grad_fn is not None]) <= 60

@@ -221,3 +221,48 @@ def test_deep_chain_does_not_recurse():
         out = out * 1.0
     out.sum().backward()
     np.testing.assert_allclose(a.grad, [1.0])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_centre_is_np_mean_and_np_var_bit_for_bit(dtype, order):
+    from respox.tensor import _centre, _mean_last
+
+    a = np.asarray(np.random.default_rng(3).normal(2.0, 3.0, size=(7, 301)).astype(dtype), order=order)
+    centred, mean, var = _centre(a)
+    assert mean.tobytes() == a.mean(axis=-1, keepdims=True).tobytes()
+    assert var.tobytes() == a.var(axis=-1, keepdims=True).tobytes()
+    assert centred.tobytes() == (a - a.mean(axis=-1, keepdims=True)).tobytes()
+    assert _mean_last(a).dtype == dtype
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_layer_norm_and_gelu_are_the_textbook_expressions_bit_for_bit(dtype):
+    rng = np.random.default_rng(5)
+    x = rng.normal(1.0, 2.0, size=(6, 33)).astype(dtype)
+    gamma, beta = (rng.uniform(0.5, 1.5, size=33).astype(dtype) for _ in range(2))
+    xhat = (x - x.mean(axis=-1, keepdims=True)) * (1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-12))
+    out = layer_norm(Tensor(x, dtype=dtype), Tensor(gamma, dtype=dtype), Tensor(beta, dtype=dtype)).data
+    assert out.tobytes() == (gamma * xhat + beta).tobytes()
+    c, a = 0.7978845608028654, 0.044715
+    want = 0.5 * x * (1.0 + np.tanh(c * (x + a * x * x * x)))
+    assert gelu(Tensor(x, dtype=dtype)).data.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_layer_norm_gradients_are_the_textbook_expressions_bit_for_bit(dtype):
+    """Values and memory layout, for a gradient that arrives column-major."""
+    rng = np.random.default_rng(6)
+    x = rng.normal(1.0, 2.0, size=(40, 33)).astype(dtype)
+    gamma, beta = (rng.uniform(0.5, 1.5, size=33).astype(dtype) for _ in range(2))
+    xt, gt, bt = (Tensor(a, requires_grad=True, dtype=dtype) for a in (x, gamma, beta))
+    upstream = rng.normal(size=(33, 40)).astype(dtype)
+    (layer_norm(xt, gt, bt).t() * Tensor(upstream, dtype=dtype)).sum().backward()
+    g = upstream.T
+    inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-12)
+    xhat = (x - x.mean(axis=-1, keepdims=True)) * inv
+    dxhat = g * gamma
+    want = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    assert xt.grad.tobytes() == want.tobytes() and xt.grad.strides == want.strides
+    assert gt.grad.tobytes() == (g * xhat).reshape(-1, 33).sum(axis=0).tobytes()
+    assert bt.grad.tobytes() == g.reshape(-1, 33).sum(axis=0).tobytes()
