@@ -13,15 +13,17 @@ forward) scatters one GEMM per kernel tap.
 
 The network's layers are two fused kernels, each one graph node that runs
 the numpy operations of the composition it replaces, in the same order, so
-outputs, running statistics, rrelu draws and gradients match it bit for bit:
+outputs, running statistics, rrelu draws and gradients match it bit for bit.
+Backward keeps inputs, statistics and activation terms, and rebuilds with
+the forward's operations anything larger than the input:
 
-- conv_bn_rrelu: conv1d (or conv_transpose1d), batch_norm1d, rrelu.  Backward
-  keeps the im2col matrix (conv) or x (deconv), xhat, the per-channel
-  1/sqrt(var + eps) and the rrelu factor.
-- multi_head_self_attention: a post-norm transformer encoder block.  Backward
-  keeps the per-head q, k and v, the softmax probabilities [h, L, L], both
-  layer norms' xhat and 1/sqrt(var + eps), and the GELU input and tanh; it
-  rebuilds the context, the first layer norm's output and the GELU output.
+- conv_bn_rrelu: conv1d (or conv_transpose1d), batch_norm1d, rrelu.  Keeps
+  x, xhat, the per-channel 1/sqrt(var + eps) and the rrelu factor; rebuilds
+  conv1d's [C_in*k, L_out] im2col matrix of x.
+- multi_head_self_attention: a post-norm transformer encoder block.  Keeps
+  the per-head q, k and v, both layer norms' xhat and 1/sqrt(var + eps), and
+  the GELU input and tanh; rebuilds each head's [L, L] probabilities and
+  context, the first layer norm's output and the GELU output.
 
 conv1d, conv_transpose1d, batch_norm1d and rrelu are the references the fused
 block is checked against; the decoders' 1x1 projections use conv1d.
@@ -82,13 +84,6 @@ def conv_transpose_output_length(
     return out
 
 
-def _check_conv_args(stride: int, padding: int) -> None:
-    if stride < 1:
-        raise ShapeError(f"stride must be >= 1, got {stride}")
-    if padding < 0:
-        raise ShapeError(f"padding must be >= 0, got {padding}")
-
-
 def _im2col(x: np.ndarray, k: int, stride: int, padding: int, out_len: int) -> np.ndarray:
     """The [C*k, out_len] im2col matrix: cols[i*k + j, t] = x_padded[i, t*stride + j]."""
     c, length = x.shape
@@ -114,7 +109,10 @@ def _scatter(x: np.ndarray, w: np.ndarray, stride: int, padding: int, out_len: i
 def _conv_length(x, weight, bias, stride, padding, output_padding, transposed) -> int:
     """Output length of conv1d (or conv_transpose1d), after checking every operand's shape."""
     name = "conv_transpose1d" if transposed else "conv1d"
-    _check_conv_args(stride, padding)
+    if stride < 1:
+        raise ShapeError(f"stride must be >= 1, got {stride}")
+    if padding < 0:
+        raise ShapeError(f"padding must be >= 0, got {padding}")
     if transposed and not 0 <= output_padding < max(stride, 1):
         raise ShapeError(f"output_padding {output_padding} must lie in [0, stride)")
     if x.ndim != 2 or weight.ndim != 3:
@@ -134,14 +132,13 @@ def _conv_length(x, weight, bias, stride, padding, output_padding, transposed) -
 
 
 def _conv_forward(xd, wd, stride, padding, out_len, transposed):
-    """(output without bias, the im2col matrix conv1d's backward reuses, or None)."""
+    """conv1d (or conv_transpose1d) of the arrays, without bias."""
     if transposed:
-        return _scatter(xd, wd, stride, padding, out_len), None
-    cols = _im2col(xd, wd.shape[2], stride, padding, out_len)
-    return wd.reshape(wd.shape[0], -1) @ cols, cols
+        return _scatter(xd, wd, stride, padding, out_len)
+    return wd.reshape(wd.shape[0], -1) @ _im2col(xd, wd.shape[2], stride, padding, out_len)
 
 
-def _conv_grad(g, xd, wd, cols, stride, padding, transposed, need_x, need_w):
+def _conv_grad(g, xd, wd, stride, padding, transposed, need_x, need_w):
     """(gx, gw) of _conv_forward for the upstream gradient g."""
     k, length = wd.shape[2], xd.shape[1]
     if transposed:
@@ -152,19 +149,20 @@ def _conv_grad(g, xd, wd, cols, stride, padding, transposed, need_x, need_w):
         gw = (xd @ cols.T).reshape(wd.shape) if need_w else None
     else:
         gx = _scatter(g, wd, stride, padding, length) if need_x else None
-        gw = (g @ cols.T).reshape(wd.shape) if need_w else None
+        # x's im2col, rebuilt as the forward built it
+        gw = (g @ _im2col(xd, k, stride, padding, g.shape[1]).T).reshape(wd.shape) if need_w else None
     return gx, gw
 
 
 def _conv(x, weight, bias, stride, padding, output_padding, transposed):
     out_len = _conv_length(x, weight, bias, stride, padding, output_padding, transposed)
     xd, wd = x.data, weight.data
-    out, cols = _conv_forward(xd, wd, stride, padding, out_len, transposed)
+    out = _conv_forward(xd, wd, stride, padding, out_len, transposed)
     if bias is not None:
         out = out + bias.data[:, None]
 
     def grad_fn(g):
-        gx, gw = _conv_grad(g, xd, wd, cols, stride, padding, transposed, x.requires_grad, weight.requires_grad)
+        gx, gw = _conv_grad(g, xd, wd, stride, padding, transposed, x.requires_grad, weight.requires_grad)
         if bias is None:
             return gx, gw
         return gx, gw, (g.sum(axis=1) if bias.requires_grad else None)
@@ -349,9 +347,7 @@ def conv_bn_rrelu(
     parents = (x, weight, bias, gamma, beta)
     graph = _builds_graph(parents)
     xd, wd = x.data, weight.data
-    h, cols = _conv_forward(xd, wd, stride, padding, out_len, transposed)
-    if not graph:
-        cols = None
+    h = _conv_forward(xd, wd, stride, padding, out_len, transposed)
     if transposed:
         h = h + bias.data[:, None]  # h was a window of _scatter's buffer
     else:
@@ -367,7 +363,7 @@ def conv_bn_rrelu(
         )
         if gh is None:
             return None, None, None, ggamma, gbeta
-        gx, gw = _conv_grad(gh, xd, wd, cols, stride, padding, transposed, x.requires_grad, weight.requires_grad)
+        gx, gw = _conv_grad(gh, xd, wd, stride, padding, transposed, x.requires_grad, weight.requires_grad)
         return gx, gw, (gh.sum(axis=1) if bias.requires_grad else None), ggamma, gbeta
 
     return _from_op(out, parents, grad_fn)
@@ -413,8 +409,8 @@ def multi_head_self_attention(
 
     Each head's q and v are laid out once as contiguous [h, L, d_head]
     copies and k as [h, d_head, L], so every head runs the GEMMs of the
-    composition of tensor ops bit for bit.  Without a graph one [L, L] score
-    buffer serves every head.
+    composition of tensor ops bit for bit.  One [L, L] buffer holds each
+    head's probabilities in turn, and backward rebuilds them from q and k.
     """
     if x.ndim != 2:
         raise ShapeError(f"attention expects [L, d] tokens, got {x.shape}")
@@ -433,7 +429,6 @@ def multi_head_self_attention(
     xd = x.data
     d_head = d // n_heads
     scale = xd.dtype.type(1.0 / float(np.sqrt(d_head)))
-    graph = _builds_graph([x, *weights])
 
     def per_head(a, axes):
         return np.ascontiguousarray(a.reshape(length, n_heads, d_head).transpose(axes))
@@ -441,16 +436,18 @@ def multi_head_self_attention(
     q = per_head(_affine(xd, qw, qb), (1, 0, 2))
     k = per_head(_affine(xd, kw, kb), (1, 2, 0))
     v = per_head(_affine(xd, vw, vb), (1, 0, 2))
-    probs = np.empty((n_heads if graph else 1, length, length), dtype=xd.dtype)
-    contexts = []
-    for h in range(n_heads):
-        p = probs[h if graph else 0]
+
+    def head_probs(h, p):
+        """Head h's softmax probabilities, built in place in the [L, L] buffer p."""
         np.matmul(q[h], k[h], out=p)
         p *= scale
-        p -= p.max(axis=1, keepdims=True)  # softmax, in place
+        p -= p.max(axis=1, keepdims=True)
         np.exp(p, out=p)
         p /= p.sum(axis=1, keepdims=True)
-        contexts.append(p @ v[h])
+        return p
+
+    p = np.empty((length, length), dtype=xd.dtype)
+    contexts = [head_probs(h, p) @ v[h] for h in range(n_heads)]
     r1 = _affine(np.concatenate(contexts, axis=1), ow, ob)
     r1 += xd
     del contexts
@@ -466,12 +463,13 @@ def multi_head_self_attention(
         g_f1 = (gr2 @ fw2.T) * _gelu_slope(f1, th)
         h1 = xhat1 * g1 + b1
         gr1, g_g1, g_b1 = _layer_norm_backward(gr2 + g_f1 @ fw1.T, g1, xhat1, inv1)
-        ctx = np.concatenate([probs[h] @ v[h] for h in range(n_heads)], axis=1)
         g_ctx = gr1 @ ow.T
-        dq, dk, dv = (np.empty((length, n_heads * d_head), dtype=xd.dtype) for _ in range(3))
+        ctx, dq, dk, dv = (np.empty((length, n_heads * d_head), dtype=xd.dtype) for _ in range(4))
+        p = np.empty((length, length), dtype=xd.dtype)
         for h in range(n_heads):
             cols = slice(h * d_head, (h + 1) * d_head)
-            gc, p = g_ctx[:, cols], probs[h]
+            gc = g_ctx[:, cols]
+            ctx[:, cols] = head_probs(h, p) @ v[h]
             dv[:, cols] = p.T @ gc
             ds = gc @ v[h].T  # through the softmax and the scale, in place
             ds -= (ds * p).sum(axis=1, keepdims=True)

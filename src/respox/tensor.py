@@ -40,10 +40,6 @@ def no_grad():
         _GRAD_STACK.pop()
 
 
-def grad_enabled() -> bool:
-    return _GRAD_STACK[-1]
-
-
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fn")
     # numpy operators defer to Tensor's reflected ones, so `array * tensor`

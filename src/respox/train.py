@@ -184,7 +184,8 @@ def train(
     A non-finite loss is skipped and turns gradient clipping on (norm 10)
     for the rest of the run; a second non-finite loss with clipping already
     active aborts.  When checkpoint_path is given, a checkpoint lands there
-    at the end and every train_cfg.checkpoint_every epochs.
+    at the end and every train_cfg.checkpoint_every epochs.  Each epoch logs
+    its loss terms averaged over the steps taken (NaN if it took none).
     """
     config.validate()
     if not records:
@@ -206,6 +207,7 @@ def train(
         t0 = time.perf_counter()
         order = np.random.default_rng(np.random.SeedSequence([seed, epoch])).permutation(len(records))
         sums = {"l1": 0.0, "corr": 0.0, "ce": 0.0, "loss": 0.0}
+        steps = 0
         for step, night_index in enumerate(order):
             record = records[night_index]
             rng = np.random.default_rng(np.random.SeedSequence([seed, epoch, step]))
@@ -244,8 +246,9 @@ def train(
             for key, value in terms.items():
                 sums[key] += value
             sums["loss"] += loss_value
+            steps += 1
 
-        means = {key: total / len(records) for key, total in sums.items()}
+        means = {key: total / steps if steps else float("nan") for key, total in sums.items()}
         train_log.entries.append({"epoch": epoch, **means, "wall_s": time.perf_counter() - t0})
         if (
             checkpoint_path is not None

@@ -218,6 +218,21 @@ def test_state_gradient_deterministic(micro_params, micro_cfg, micro_records):
     assert np.all(np.isfinite(sg1.vector))
 
 
+def test_state_gradient_is_the_mean_of_the_per_record_gradients_bit_for_bit(micro_params, micro_cfg, micro_records):
+    # each night twice, so the state with the most carrying nights has four
+    pool = micro_records + micro_records[::-1]
+    carriers = {}
+    for r in pool:
+        for u in np.unique(r.stages):
+            carriers.setdefault((int(r.gender), int(u)), []).append(r)
+    state, records = max(carriers.items(), key=lambda item: len(item[1]))
+    assert len(records) >= 3
+    per_record = [state_gradient(micro_params, micro_cfg, [r], state).vector for r in records]
+    sg = state_gradient(micro_params, micro_cfg, pool, state)
+    assert sg.samples == len(records)
+    assert sg.vector.tobytes() == np.mean(np.stack(per_record), axis=0).tobytes()
+
+
 def test_state_gradient_leaves_running_stats(micro_params, micro_cfg, micro_records):
     before = {
         name: t.data.copy() for name, t in micro_params.items() if "running_" in name

@@ -154,6 +154,37 @@ def pad_and_window_im2col(x, k, stride, padding, out_len):
     return windows[:, :out_len, :].transpose(0, 2, 1).reshape(c * k, out_len)
 
 
+@pytest.mark.parametrize("op", ["conv1d", "conv_bn_rrelu"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_conv_weight_gradient_is_g_times_the_im2col_of_x_bit_for_bit(op, dtype, stride):
+    # backward rebuilds the im2col matrix of x instead of keeping the
+    # forward's; the weight gradient must be the product with that matrix
+    k, padding = 7, 3
+    operands, (rm, rv) = block_operands(np.random.default_rng(stride), dtype, False, True)
+    x, w, bias, gamma, beta = operands
+    out_len = conv_output_length(x.shape[1], k, stride, padding)
+    g = np.random.default_rng(5).normal(size=(w.shape[0], out_len)).astype(dtype)
+    if op == "conv1d":
+        (conv1d(x, w, bias, stride=stride, padding=padding) * Tensor(g, dtype=dtype)).sum().backward()
+        gh = g
+    else:
+        out = conv_bn_rrelu(
+            x, w, bias, gamma, beta, rm, rv, stride=stride, padding=padding, mode="train",
+            rng=np.random.default_rng(9),
+        )
+        (out * Tensor(g, dtype=dtype)).sum().backward()
+        # the gradient reaching the conv output, from the reference kernels
+        # on a leaf holding it
+        _, (rm, rv) = block_operands(np.random.default_rng(stride), dtype, False, True)
+        h = t(conv1d(x, w, bias, stride=stride, padding=padding).data, dtype)
+        tail = rrelu(batch_norm1d(h, gamma, beta, rm, rv), mode="train", rng=np.random.default_rng(9))
+        (tail * Tensor(g, dtype=dtype)).sum().backward()
+        gh = h.grad
+    want = (gh @ pad_and_window_im2col(x.data, k, stride, padding, out_len).T).reshape(w.shape)
+    assert w.grad.dtype == dtype and w.grad.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_im2col_matches_pad_and_sliding_window_bit_for_bit(dtype):
     rng = np.random.default_rng(0)
@@ -499,3 +530,54 @@ def test_attention_adds_one_graph_node_and_keeps_none_without_a_graph():
     with no_grad():
         bare = multi_head_self_attention(x, params, n_heads=2)
     assert bare._grad_fn is None and bare.data.tobytes() == out.data.tobytes()
+
+
+def arrays_kept_for_backward(node):
+    """Every array the node's backward can reach through its closures, views' bases included."""
+    kept, seen, stack = [], set(), [node._grad_fn]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            kept.append(obj)
+            stack.append(obj.base)
+        elif isinstance(obj, Tensor):
+            stack.append(obj.data)
+        elif isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            for cell in obj.__closure__:
+                try:
+                    stack.append(cell.cell_contents)
+                except ValueError:  # a cell not assigned yet
+                    pass
+    return kept
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+def test_conv_bn_rrelu_keeps_no_im2col_matrix_for_backward(transposed):
+    c_in, k, stride, padding = 16, 5, 1, 2
+    operands, (rm, rv) = block_operands(np.random.default_rng(1), np.float64, transposed, True, c_in, 3, 60, k)
+    out = conv_bn_rrelu(
+        *operands, rm, rv, stride=stride, padding=padding, transposed=transposed, mode="train",
+        rng=np.random.default_rng(2),
+    )
+    im2col_size = c_in * k * out.shape[1]
+    kept = arrays_kept_for_backward(out)
+    assert any(a is operands[0].data for a in kept)  # x itself
+    assert max(a.size for a in kept) < im2col_size
+
+
+def test_attention_keeps_no_per_head_probabilities_for_backward():
+    length, d, n_heads = 48, 8, 2
+    rng = np.random.default_rng(3)
+    params = random_attention_params(rng, d, n_heads, 16, np.float64)
+    x = t(rng.normal(size=(length, d)))
+    out = multi_head_self_attention(x, params, n_heads)
+    kept = arrays_kept_for_backward(out)
+    assert any(a.shape == (n_heads, length, d // n_heads) for a in kept)  # q and v
+    assert max(a.size for a in kept) < length * length

@@ -335,6 +335,36 @@ def test_nonfinite_loss_enables_auto_clip(micro_cfg, micro_records, monkeypatch,
     assert f"norm {AUTO_CLIP_NORM:.1f}" in caplog.text
 
 
+def test_epoch_means_are_over_the_steps_taken(micro_cfg, micro_records, monkeypatch):
+    orig_loss, orig_components = model_mod.loss, model_mod.loss_components
+    calls = {"n": 0}
+    logged = []
+
+    def flaky(y_hat, y):
+        l1, corr = orig_components(y_hat, y)
+        calls["n"] += 1
+        if calls["n"] == 2:
+            return Tensor(np.asarray(np.inf, dtype=l1.data.dtype)), corr
+        return l1, corr
+
+    def recorded(*args, **kwargs):
+        loss, terms = orig_loss(*args, **kwargs)
+        if np.isfinite(float(loss)):
+            logged.append({"loss": float(loss), **terms})
+        return loss, terms
+
+    monkeypatch.setattr(model_mod, "loss_components", flaky)
+    monkeypatch.setattr(model_mod, "loss", recorded)
+    _, _, tlog = train(micro_cfg, micro_records, TrainConfig(epochs=1, seed=0, lr=1e-3))
+    assert tlog.clip_activated_epoch == 0
+    assert len(logged) == len(micro_records) - 1
+    for key in ("loss", "l1", "corr", "ce"):
+        total = 0.0
+        for terms in logged:
+            total += terms[key]
+        assert tlog.entries[0][key] == total / len(logged), key
+
+
 def test_nonfinite_loss_with_clip_active_aborts(micro_cfg, micro_records, monkeypatch):
     orig = model_mod.loss_components
 
