@@ -5,8 +5,8 @@ magic "GBU1".  The header (the manifest) holds config, tensors and meta.
 Tensor entries are {name, shape, byte_offset} sorted by name, with offsets
 relative to the start of the body, the float section: one run of 32-bit
 floats per entry, in manifest order.  Optimizer moments ride along under
-"adam." names; batch-norm running statistics are recognized by "running_"
-in the name and load as non-trainable.  Save then load is bit-exact.
+"adam." names; batch-norm running statistics (model.is_buffer) load as
+non-trainable.  Save then load is bit-exact.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import numpy as np
 
 from . import container
 from .config import ModelConfig, model_config_from_dict, model_config_to_dict
+from .model import is_buffer
 from .tensor import Tensor
 
 OPTIMIZER_PREFIX = "adam."
@@ -68,11 +69,6 @@ def save_checkpoint(
     container.write(path, GBU1, manifest, [arrays[name] for name in names])
 
 
-def is_trainable(name: str) -> bool:
-    """Optimizer moments and batch-norm running statistics are stored but never trained."""
-    return not name.startswith(OPTIMIZER_PREFIX) and "running_" not in name
-
-
 def _checked_manifest(path, fh) -> dict:
     """Read the manifest and check its offsets and the float section size against the file."""
     manifest, held = container.read_header(fh, path, GBU1)
@@ -104,7 +100,7 @@ def load_checkpoint(path) -> Checkpoint:
             if name.startswith(OPTIMIZER_PREFIX):
                 optimizer[name] = arr
             else:
-                params[name] = Tensor(arr, requires_grad=is_trainable(name), dtype=np.float32)
+                params[name] = Tensor(arr, requires_grad=not is_buffer(name), dtype=np.float32)
 
     config = model_config_from_dict(manifest["config"])
     return Checkpoint(params=params, config=config, meta=manifest["meta"], optimizer=optimizer)

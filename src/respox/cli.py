@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from . import model as model_mod
-from .checkpoint import OPTIMIZER_PREFIX, CheckpointError, is_trainable, load_checkpoint, read_manifest
+from .checkpoint import OPTIMIZER_PREFIX, CheckpointError, load_checkpoint, read_manifest
 from .config import (
     ConfigError,
     FULL_PARAM_COUNT_REFERENCE,
@@ -76,6 +76,19 @@ def _load_records(data_dir: str | None, cfg: RunConfig, split: str):
     if split != "all":
         records = filter_split(records, split, ratio=cfg.data.split_ratio, seed=cfg.data.split_seed)
     return [crop_to_multiple(r) for r in records]
+
+
+def _load_model_checkpoint(path):
+    """A checkpoint whose tensors are exactly those of model.param_shapes(its config)."""
+    checkpoint = load_checkpoint(path)
+    params, shapes = checkpoint.params, model_mod.param_shapes(checkpoint.config)
+    for name in [*shapes, *(name for name in params if name not in shapes)]:
+        if name not in params:
+            raise CheckpointError(f"{path}: tensor {name!r} is missing")
+        built = shapes.get(name, "no such tensor")
+        if params[name].shape != built:
+            raise CheckpointError(f"{path}: tensor {name!r} has shape {params[name].shape}, its config builds {built}")
+    return checkpoint
 
 
 @click.group()
@@ -214,7 +227,7 @@ def gatemap(ckpt, config_path, data_dir, n_heads, mode, out):
     try:
         cfg = _load_config(config_path)
         cfg.gate = _override(cfg.gate, "gate", n_heads=n_heads, mode=mode)
-        checkpoint = load_checkpoint(ckpt)
+        checkpoint = _load_model_checkpoint(ckpt)
         gated_cfg = replace(checkpoint.config, variant="gated", n_heads=cfg.gate.n_heads)
         records = None
         if cfg.gate.mode == "grad-sim":
@@ -260,7 +273,7 @@ def eval_cmd(ckpt, config_path, data_dir, gate_map_path, split, group_by, dump_d
     try:
         cfg = _load_config(config_path)
         cfg.eval = _override(cfg.eval, "eval", split=split, group_var=group_by)
-        checkpoint = load_checkpoint(ckpt)
+        checkpoint = _load_model_checkpoint(ckpt)
         if config_path is not None:
             digest = config_hash(cfg)
             stored = checkpoint.meta.get("config_hash")
@@ -355,7 +368,7 @@ def inspect(ckpt, tensors):
         click.echo("meta: " + json.dumps(manifest["meta"], sort_keys=True))
     shapes = {entry["name"]: tuple(entry["shape"]) for entry in manifest["tensors"]}
     params = sorted(name for name in shapes if not name.startswith(OPTIMIZER_PREFIX))
-    trainable = sum(int(np.prod(shapes[name])) for name in params if is_trainable(name))
+    trainable = sum(int(np.prod(shapes[name])) for name in params if not model_mod.is_buffer(name))
     total = sum(int(np.prod(shapes[name])) for name in params)
     click.echo(
         f"parameters: {trainable:,} trainable, {total:,} with buffers "

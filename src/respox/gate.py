@@ -52,17 +52,15 @@ class GateMap:
         return self
 
 
-def trainable_param_names(params: dict) -> list:
-    return sorted(name for name, t in params.items() if t.requires_grad)
-
-
-def flatten_grads(params: dict, names) -> np.ndarray:
-    chunks = []
+def flatten_grads(params: dict, names, out: np.ndarray) -> np.ndarray:
+    """Write the named gradients, in order, into the float64 vector `out`; a missing one as zeros."""
+    start = 0
     for name in names:
         tensor = params[name]
-        grad = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
-        chunks.append(np.asarray(grad, dtype=np.float64).ravel())
-    return np.concatenate(chunks)
+        view = out[start : start + tensor.size].reshape(tensor.shape)
+        view[...] = 0.0 if tensor.grad is None else tensor.grad
+        start += tensor.size
+    return out
 
 
 def state_gradient(
@@ -80,7 +78,8 @@ def state_gradient(
     seconds; the result is the mean over contributing records.
     """
     v, u = state
-    names = trainable_param_names(params)
+    names = sorted(name for name, t in params.items() if t.requires_grad)
+    grads = np.empty(sum(params[name].size for name in names), dtype=np.float64)  # refilled per record
     total, samples = None, 0
     for record in records:
         if record.gender != v:
@@ -97,12 +96,12 @@ def state_gradient(
         loss, _ = model_mod.loss(take(pred.y_hat, idx, axis=0), y[idx], corr_weight)
         loss.backward()
         # summed in record order, then divided once: np.mean of the stack bit for bit
-        grads = flatten_grads(params, names)
-        total = grads if total is None else np.add(total, grads, out=total)
+        flatten_grads(params, names, grads)
+        total = grads.copy() if total is None else np.add(total, grads, out=total)
         samples += 1
     if total is None:
         raise GateError(f"no record carries state (v={v}, u={u})")
-    return StateGradient(state=(int(v), int(u)), vector=total / samples, samples=samples)
+    return StateGradient(state=(int(v), int(u)), vector=np.divide(total, samples, out=total), samples=samples)
 
 
 def cosine_similarity(g1: np.ndarray, g2: np.ndarray) -> float:

@@ -66,40 +66,26 @@ class Prediction:
 # ---------------------------------------------------------------- building
 
 
-def _uniform(rng, shape, bound, dtype):
-    return Tensor(rng.uniform(-bound, bound, size=shape).astype(dtype), requires_grad=True, dtype=dtype)
+def is_buffer(name: str) -> bool:
+    """Batch-norm running statistics: stored and updated by train-mode forward, never trained."""
+    return "running_" in name
 
 
-def _normal(rng, shape, std, dtype):
-    return Tensor((rng.normal(0.0, std, size=shape)).astype(dtype), requires_grad=True, dtype=dtype)
-
-
-def _zeros(shape, dtype, requires_grad=True):
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad, dtype=dtype)
-
-
-def _ones(shape, dtype, requires_grad=True):
-    return Tensor(np.ones(shape, dtype=dtype), requires_grad=requires_grad, dtype=dtype)
-
-
-def _add_block(params, prefix, rng, c_in, c_out, k, dtype, transposed):
-    """One conv (or deconv) layer and its batch norm; weights uniform in +-1/sqrt(c_in*k)."""
+def _add_block(shapes, prefix, c_in, c_out, k, transposed):
+    """One conv (or deconv) layer and its batch norm."""
     kind, shape = ("deconv", (c_in, c_out, k)) if transposed else ("conv", (c_out, c_in, k))
-    params[f"{prefix}.{kind}.weight"] = _uniform(rng, shape, 1.0 / np.sqrt(c_in * k), dtype)
-    params[f"{prefix}.{kind}.bias"] = _zeros((c_out,), dtype)
-    params[f"{prefix}.bn.gamma"] = _ones((c_out,), dtype)
-    params[f"{prefix}.bn.beta"] = _zeros((c_out,), dtype)
-    params[f"{prefix}.bn.running_mean"] = _zeros((c_out,), dtype, requires_grad=False)
-    params[f"{prefix}.bn.running_var"] = _ones((c_out,), dtype, requires_grad=False)
+    shapes[f"{prefix}.{kind}.weight"] = shape
+    shapes[f"{prefix}.{kind}.bias"] = (c_out,)
+    for key in ("gamma", "beta", "running_mean", "running_var"):
+        shapes[f"{prefix}.bn.{key}"] = (c_out,)
 
 
-def _add_decoder(params, prefix, rng, c_ins, c_outs, n_out, k, dtype):
+def _add_decoder(shapes, prefix, c_ins, c_outs, n_out, k):
     """Deconv blocks {prefix}.i (c_ins[i] -> c_outs[i]), then a 1x1 projection to n_out."""
     for i, (c_in, c_out) in enumerate(zip(c_ins, c_outs)):
-        _add_block(params, f"{prefix}.{i}", rng, c_in, c_out, k, dtype, transposed=True)
-    c_last = c_outs[-1]
-    params[f"{prefix}.proj.weight"] = _uniform(rng, (n_out, c_last, 1), 1.0 / np.sqrt(c_last), dtype)
-    params[f"{prefix}.proj.bias"] = _zeros((n_out,), dtype)
+        _add_block(shapes, f"{prefix}.{i}", c_in, c_out, k, transposed=True)
+    shapes[f"{prefix}.proj.weight"] = (n_out, c_outs[-1], 1)
+    shapes[f"{prefix}.proj.bias"] = (n_out,)
 
 
 def input_channels(config: ModelConfig) -> int:
@@ -129,41 +115,49 @@ def decoder_in_channels(config: ModelConfig) -> list[int]:
     return chain
 
 
-def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:
-    """Create the full parameter set for a variant, deterministically from seed."""
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every tensor of a variant, in the order build_model draws them."""
     config.validate()
-    rng = np.random.default_rng(seed)
-    params: ModelParams = {}
+    shapes: dict[str, tuple[int, ...]] = {}
     k = config.kernel_size
 
-    c_prev = input_channels(config)
+    c_ins = (input_channels(config),) + config.encoder_channels
     for i in range(encoder_layer_count(config)):
-        c_out = config.encoder_channels[i]
-        _add_block(params, f"encoder.{i}", rng, c_prev, c_out, k, dtype, transposed=False)
-        c_prev = c_out
+        _add_block(shapes, f"encoder.{i}", c_ins[i], c_ins[i + 1], k, transposed=False)
 
     if config.variant != "cnn":
-        d = config.bert_hidden
-        shapes = kernels.attention_param_shapes(d, config.bert_heads, config.bert_intermediate)
-        params["bert.pos_emb"] = _normal(rng, (config.max_positions, d), 0.02, dtype)
+        shapes["bert.pos_emb"] = (config.max_positions, config.bert_hidden)
+        layer = kernels.attention_param_shapes(config.bert_hidden, config.bert_heads, config.bert_intermediate)
         for i in range(config.bert_layers):
-            for key, shape in shapes.items():
-                name = f"bert.{i}.{key}"
-                if key.endswith("_w"):
-                    params[name] = _normal(rng, shape, 0.02, dtype)
-                elif key.endswith("_g"):
-                    params[name] = _ones(shape, dtype)
-                else:
-                    params[name] = _zeros(shape, dtype)
+            shapes.update({f"bert.{i}.{key}": shape for key, shape in layer.items()})
 
     in_chain = decoder_in_channels(config)
     for h in range(1, config.n_heads + 1):
-        _add_decoder(params, f"head{h}", rng, in_chain, config.decoder_channels, 1, k, dtype)
+        _add_decoder(shapes, f"head{h}", in_chain, config.decoder_channels, 1, k)
 
     if has_stage_head(config):
         fu = config.fu_channels
-        _add_decoder(params, "fu", rng, (config.bottleneck_width,) + fu[:-1], fu, config.u_classes, k, dtype)
+        _add_decoder(shapes, "fu", (config.bottleneck_width,) + fu[:-1], fu, config.u_classes, k)
 
+    return shapes
+
+
+def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:
+    """Every tensor of param_shapes(config), drawn from one default_rng(seed) stream in that
+    order: conv, deconv and projection weights uniform in +-1/sqrt(fan_in), attention weights
+    and pos_emb normal(0, 0.02); gains and running variances ones, the rest zeros."""
+    rng = np.random.default_rng(seed)
+    params: ModelParams = {}
+    for name, shape in param_shapes(config).items():
+        if name.endswith(".weight"):  # conv [c_out, c_in, k], deconv [c_in, c_out, k], proj [n_out, c_in, 1]
+            fan_in = shape[0] * shape[2] if name.endswith(".deconv.weight") else shape[1] * shape[2]
+            bound = 1.0 / np.sqrt(fan_in)
+            data = rng.uniform(-bound, bound, size=shape)
+        elif name == "bert.pos_emb" or name.endswith("_w"):
+            data = rng.normal(0.0, 0.02, size=shape)
+        else:
+            data = np.full(shape, 1.0 if name.endswith(("gamma", "running_var", "_g")) else 0.0)
+        params[name] = Tensor(data.astype(dtype), requires_grad=not is_buffer(name), dtype=dtype)
     return params
 
 

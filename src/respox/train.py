@@ -184,8 +184,8 @@ def train(
     A non-finite loss is skipped and turns gradient clipping on (norm 10)
     for the rest of the run; a second non-finite loss with clipping already
     active aborts.  When checkpoint_path is given, a checkpoint lands there
-    at the end and every train_cfg.checkpoint_every epochs.  Each epoch logs
-    its loss terms averaged over the steps taken (NaN if it took none).
+    every train_cfg.checkpoint_every epochs and at the end, once per epoch.
+    Each epoch logs its loss terms averaged over the steps taken (NaN if none).
     """
     config.validate()
     if not records:
@@ -211,6 +211,8 @@ def train(
         for step, night_index in enumerate(order):
             record = records[night_index]
             rng = np.random.default_rng(np.random.SeedSequence([seed, epoch, step]))
+            for name in adam.m:  # the last step's gradients die before this step's forward
+                params[name].grad = None
             x, v = model_mod.night_input(params, config, record)
             pred = model_mod.forward(
                 params, config, x, v=v, u=record.stages, gate_map=gate_map, mode="train", rng=rng
@@ -236,8 +238,6 @@ def train(
                 del pred, loss
                 continue
 
-            for name in adam.m:
-                params[name].grad = None
             loss.backward()
             del pred, loss  # free this step's graph before the next forward builds one
             if clip_norm > 0.0:
@@ -250,11 +250,8 @@ def train(
 
         means = {key: total / steps if steps else float("nan") for key, total in sums.items()}
         train_log.entries.append({"epoch": epoch, **means, "wall_s": time.perf_counter() - t0})
-        if (
-            checkpoint_path is not None
-            and train_cfg.checkpoint_every > 0
-            and (epoch + 1) % train_cfg.checkpoint_every == 0
-        ):
+        every = train_cfg.checkpoint_every
+        if checkpoint_path is not None and every > 0 and (epoch + 1) % every == 0 and epoch + 1 < end_epoch:
             _write_checkpoint(checkpoint_path, params, config, train_cfg, adam, epoch + 1, config_hash)
 
     if checkpoint_path is not None:
@@ -361,7 +358,7 @@ def train_gated_pipeline(
     pre = pretrain_epochs(train_cfg)
 
     backbone_cfg = replace(config, variant="backbone", n_heads=1)
-    backbone_params, _, log1 = train(
+    backbone_params, backbone_adam, log1 = train(
         backbone_cfg, records, train_cfg, start_epoch=0, end_epoch=pre, config_hash=config_hash
     )
     if gate_map is None:
@@ -377,6 +374,7 @@ def train_gated_pipeline(
 
     gated_params = model_mod.build_model(config, seed=train_cfg.seed)
     copy_backbone_into_gated(backbone_params, gated_params, config.n_heads)
+    del backbone_params, backbone_adam  # and the gradients gate derivation left on the backbone
     gated_params, _, log3 = train(
         config,
         records,

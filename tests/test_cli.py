@@ -1,11 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from respox import cli
 from respox import train as train_mod
-from respox.checkpoint import load_checkpoint
+from respox.checkpoint import load_checkpoint, save_checkpoint
 from respox.cli import main
 from respox.config import (
     GateConfig,
@@ -17,6 +18,7 @@ from respox.config import (
 )
 from respox.gate import identity_gate_map, save_gate_map
 from respox.model import param_count
+from respox.tensor import Tensor
 
 @pytest.fixture(scope="module")
 def runner():
@@ -422,6 +424,50 @@ def test_eval_night_aggregation_echoes_nights(runner, data_dir, backbone_ckpt, t
     assert result.exit_code == 0, result.output
     assert "nights" in result.output
     assert json.loads((tmp_path / "r.json").read_text())["aggregation"] == "night"
+
+
+# One tensor dropped, added or reshaped in the micro backbone checkpoint:
+# (name, stored shape or None to drop it, the refusal).
+UNLIKE_ITS_CONFIG = {
+    "missing": ("head1.proj.bias", None, "tensor 'head1.proj.bias' is missing"),
+    "extra": ("head2.proj.bias", (1,), "tensor 'head2.proj.bias' has shape (1,), its config builds no such tensor"),
+    "misshapen": ("encoder.0.bn.gamma", (3,), "tensor 'encoder.0.bn.gamma' has shape (3,), its config builds (2,)"),
+}
+
+
+@pytest.fixture(params=sorted(UNLIKE_ITS_CONFIG))
+def unlike_ckpt(request, backbone_ckpt, tmp_path):
+    name, shape, refusal = UNLIKE_ITS_CONFIG[request.param]
+    ckpt = load_checkpoint(str(backbone_ckpt))
+    params = dict(ckpt.params)
+    if shape is None:
+        del params[name]
+    else:
+        params[name] = Tensor(np.zeros(shape, dtype=np.float32))
+    path = tmp_path / f"{request.param}.ckpt"
+    save_checkpoint(str(path), params, ckpt.config, meta=ckpt.meta, optimizer=ckpt.optimizer)
+    return path, name, shape, refusal
+
+
+@pytest.mark.parametrize("command", ["eval", "gatemap"])
+def test_checkpoint_unlike_its_config_exits_2_naming_the_tensor(
+    runner, data_dir, config_file, unlike_ckpt, tmp_path, command
+):
+    path, name, shape, refusal = unlike_ckpt
+    out = ["--report", str(tmp_path / "r.json")] if command == "eval" else ["--out", str(tmp_path / "g.json")]
+    result = runner.invoke(
+        main, [command, "--ckpt", str(path), "--config", str(config_file), "--data", str(data_dir), *out]
+    )
+    assert result.exit_code == 2, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.stderr == f"error: {path}: {refusal}\n"
+    assert not list(tmp_path.glob("*.json"))
+
+    # loading and listing still read the file
+    assert (name in load_checkpoint(str(path)).params) == (shape is not None)
+    listed = runner.invoke(main, ["inspect", "--ckpt", str(path), "--tensors"])
+    assert listed.exit_code == 0, listed.output
+    assert (f"  {name}  " in listed.output) == (shape is not None)
 
 
 # ---------------------------------------------------------------- inspect

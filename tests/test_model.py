@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from respox import model as model_mod
-from respox.config import ConfigError, tiny_model_config
+from respox.config import ConfigError, ModelConfig, tiny_model_config
 from respox.gate import GateMap, gate_lookup, identity_gate_map
 from respox.model import (
     SKIP_SOURCES,
@@ -21,6 +22,7 @@ from respox.model import (
     loss,
     loss_components,
     param_count,
+    param_shapes,
     predict_inaccessible,
     stage_ce_sum,
 )
@@ -94,6 +96,22 @@ def test_build_draws_every_tensor_by_the_rule_in_order(variant):
         assert tensor.requires_grad == (".running_" not in name), name
     digest = hashlib.sha256("\n".join(params).encode("utf-8")).hexdigest()
     assert digest == MICRO_PARAM_NAME_SHA256[variant]
+
+
+@pytest.mark.parametrize("variant", ["backbone", "cnn", "varaug", "gated"])
+def test_param_shapes_is_the_build_inventory_and_allocates_no_tensor(variant):
+    micro = tiny_model_config("micro", variant=variant, n_heads=2 if variant == "gated" else 1)
+    built = build_model(micro, seed=0)
+    assert list(param_shapes(micro).items()) == [(name, t.shape) for name, t in built.items()]
+    full = ModelConfig(variant=variant, n_heads=6 if variant == "gated" else 1)
+    tracemalloc.start()
+    try:
+        shapes = param_shapes(full)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(shapes) == {"backbone": 227, "cnn": 92, "varaug": 247, "gated": 467}[variant]
+    assert peak < 4 * sum(int(np.prod(shape)) for shape in shapes.values()) / 100
 
 
 def test_skips_come_in_decoder_order():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import respox.model as model_mod
+import respox.train as train_mod
 from respox.checkpoint import load_checkpoint
 from respox.config import ConfigError, GateConfig, TrainConfig, tiny_model_config
 from respox.model import build_model
@@ -305,6 +306,24 @@ def test_checkpoint_cadence_and_meta(micro_cfg, micro_records, tmp_path):
     assert back.optimizer and all(k.startswith("adam.") for k in back.optimizer)
 
 
+def test_each_epoch_checkpoint_is_written_once(micro_cfg, micro_records, tmp_path, monkeypatch):
+    written = []
+    save = train_mod.save_checkpoint
+
+    def counted_save(*args, **kwargs):
+        written.append(kwargs["meta"]["epoch"])
+        save(*args, **kwargs)
+
+    monkeypatch.setattr(train_mod, "save_checkpoint", counted_save)
+    tc = TrainConfig(epochs=2, seed=0, lr=1e-3, checkpoint_every=1)
+    train(micro_cfg, micro_records, tc, checkpoint_path=str(tmp_path / "run.ckpt"))
+    assert written == [1, 2]
+    # a call that runs no epoch still leaves its checkpoint
+    written.clear()
+    train(micro_cfg, micro_records, tc, start_epoch=2, checkpoint_path=str(tmp_path / "none.ckpt"))
+    assert written == [2]
+
+
 def test_empty_training_set_rejected(micro_cfg):
     with pytest.raises(TrainingError):
         train(micro_cfg, [], TrainConfig(epochs=1))
@@ -406,6 +425,20 @@ def test_step_graph_is_freed_before_the_next_forward(micro_cfg, micro_records, m
     assert alive_at_forward == [False] * len(micro_records)
 
 
+def test_no_gradient_lives_through_a_forward(micro_cfg, micro_records, monkeypatch):
+    forward = model_mod.forward
+    held = []
+
+    def watched_forward(params, *args, **kwargs):
+        held.append([name for name, t in params.items() if t.requires_grad and t.grad is not None])
+        return forward(params, *args, **kwargs)
+
+    monkeypatch.setattr(model_mod, "forward", watched_forward)
+    _, adam, _ = train(micro_cfg, micro_records, TrainConfig(epochs=2, seed=0, lr=1e-3))
+    assert adam.t == 2 * len(micro_records)
+    assert held == [[]] * adam.t
+
+
 def test_train_log_rows_carry_provenance(tmp_path):
     tlog = TrainLog(seed=9, config_hash="abc123")
     tlog.entries.append({"epoch": 0, "l1": 0.5, "corr": 0.1, "ce": 0.0, "loss": 0.48, "wall_s": 0.01})
@@ -456,6 +489,33 @@ def test_gated_pipeline_phases_and_gate(micro_records):
     assert any(name.startswith("head2.") for name in params)
     space = {(v, u) for v in range(cfg.v_states) for u in range(cfg.u_classes)}
     assert set(gate_map.table) == space
+
+
+def test_gated_pipeline_frees_the_backbone_before_fine_tuning(micro_records, monkeypatch):
+    """The backbone's params, Adam moments and gate-derivation gradients are gone
+    by the first gated forward.  Every backbone tensor's data is a view of the
+    flat vector, so that vector dies only with the last of them."""
+    train_fn, forward = train_mod.train, model_mod.forward
+    backbone, alive = [], []
+
+    def watched_train(config, *args, **kwargs):
+        params, adam, tlog = train_fn(config, *args, **kwargs)
+        if config.variant == "backbone":
+            backbone.extend(weakref.ref(vec) for vec in adam.flat)
+        return params, adam, tlog
+
+    def watched_forward(params, config, *args, **kwargs):
+        if config.variant == "gated":
+            alive.append(any(ref() is not None for ref in backbone))
+        return forward(params, config, *args, **kwargs)
+
+    monkeypatch.setattr(train_mod, "train", watched_train)
+    monkeypatch.setattr(model_mod, "forward", watched_forward)
+    cfg = tiny_model_config("micro", variant="gated", n_heads=2)
+    tc = TrainConfig(epochs=2, seed=0, lr=1e-3, pretrain_fraction=0.5)
+    train_gated_pipeline(cfg, micro_records, tc, GateConfig(n_heads=2))
+    assert len(backbone) == 3
+    assert alive == [False] * len(micro_records)
 
 
 def test_gated_pipeline_rejects_other_variants(micro_cfg, micro_records):
