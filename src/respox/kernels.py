@@ -9,7 +9,8 @@ GEMMs: conv1d's forward and weight gradient multiply the im2col matrix of
 x, and conv_transpose1d's backward builds the im2col matrix of the
 upstream gradient once for both its input and weight gradients.  The
 remaining direction of each (conv1d's input gradient, conv_transpose1d's
-forward) scatters one GEMM per kernel tap.
+forward) is a scatter: one GEMM per block of SCATTER_COLUMNS input columns
+yields every kernel tap of the block, and k strided adds place the taps.
 
 The network's layers are two fused kernels, each one graph node that runs
 the numpy operations of the composition it replaces, in the same order, so
@@ -65,6 +66,7 @@ __all__ = [
 RRELU_LOWER = 1.0 / 8.0
 RRELU_UPPER = 1.0 / 3.0
 LAYER_NORM_EPS = 1e-12
+SCATTER_COLUMNS = 4096  # input columns per _scatter GEMM
 
 
 def conv_output_length(length: int, kernel: int, stride: int, padding: int) -> int:
@@ -95,14 +97,43 @@ def _im2col(x: np.ndarray, k: int, stride: int, padding: int, out_len: int) -> n
 
 
 def _scatter(x: np.ndarray, w: np.ndarray, stride: int, padding: int, out_len: int) -> np.ndarray:
-    """out[o, t*stride + j - padding] += sum_i x[i, t] * w[i, o, j]."""
+    """out[o, t*stride + j - padding] += sum_i x[i, t] * w[i, o, j], as a window of a new buffer.
+
+    Each block of at most SCATTER_COLUMNS input columns takes one GEMM for
+    all k taps, [c_out*k, width] = w.reshape(c_in, c_out*k).T @ x[:, block],
+    into one reused buffer, so x is read once, not once per tap; k strided
+    adds then place the taps.  The blocks are balanced, and without the
+    tiling the product of a 28,800-column layer would be one 51.6 MB block.
+
+    Block order: output position p takes its taps in ascending j, and j
+    ascends as t descends, so the blocks are walked from last to first.
+    Every position then sums its taps in the order of one GEMM per tap, and
+    float32 outputs equal that loop's bit for bit wherever OpenBLAS gives a
+    GEMM row the same bits whatever the rows around it: on micro and tiny
+    nights of 48 s and longer and full-scale nights of 240 s and longer.
+    They differ in the last bits on 24 s nights, whose one-token bottleneck
+    makes numpy call gemv, and on full-scale nights under 240 s, where the
+    all-tap GEMMs of the 512-channel layer cross OpenBLAS's small-matrix
+    threshold and the per-tap ones do not.  In float64, dgemm rounds the
+    columns past its last full tile by a row's place in the GEMM, so those
+    columns can differ too.
+    """
     c_in, length = x.shape
     _, c_out, k = w.shape
-    span = (length - 1) * stride + 1
     full_len = max((length - 1) * stride + k, padding + out_len)
     full = np.zeros((c_out, full_len), dtype=x.dtype)
-    for j in range(k):
-        full[:, j : j + span : stride] += w[:, :, j].T @ x
+    blocks = max(1, -(-length // SCATTER_COLUMNS))
+    width = max(1, -(-length // blocks))
+    taps = w.reshape(c_in, c_out * k).T
+    buf = np.empty(c_out * k * width, dtype=x.dtype)
+    for t0 in reversed(range(0, length, width)):
+        n = min(width, length - t0)
+        y = np.matmul(taps, x[:, t0 : t0 + n], out=buf[: c_out * k * n].reshape(c_out * k, n))
+        y = y.reshape(c_out, k, n)
+        start = t0 * stride
+        span = (n - 1) * stride + 1
+        for j in range(k):
+            full[:, start + j : start + j + span : stride] += y[:, j]
     return full[:, padding : padding + out_len]
 
 

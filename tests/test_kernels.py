@@ -1,11 +1,18 @@
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from respox import kernels, model
+from respox.config import ModelConfig, tiny_model_config
 from respox.kernels import (
     ATTENTION_PARAM_KEYS,
+    SCATTER_COLUMNS,
     _im2col,
+    _scatter,
     attention_param_shapes,
     batch_norm1d,
     conv1d,
@@ -581,3 +588,130 @@ def test_attention_keeps_no_per_head_probabilities_for_backward():
     kept = arrays_kept_for_backward(out)
     assert any(a.shape == (n_heads, length, d // n_heads) for a in kept)  # q and v
     assert max(a.size for a in kept) < length * length
+
+
+def per_tap_scatter(x, w, stride, padding, out_len):
+    """_scatter as one GEMM per kernel tap: the order of adds the tiled GEMM keeps."""
+    c_in, length = x.shape
+    _, c_out, k = w.shape
+    span = (length - 1) * stride + 1
+    full_len = max((length - 1) * stride + k, padding + out_len)
+    full = np.zeros((c_out, full_len), dtype=x.dtype)
+    for j in range(k):
+        full[:, j : j + span : stride] += w[:, :, j].T @ x
+    return full[:, padding : padding + out_len]
+
+
+@functools.lru_cache(maxsize=None)
+def model_scatter_calls(scale):
+    """(x shape, w shape, stride, padding, out_len) of every _scatter call in one train
+    step of the varaug and cnn variants: nights of 48 and 240 s at micro and tiny
+    scale, 240 s at full scale."""
+    calls = set()
+    scatter = kernels._scatter
+
+    def record(x, w, stride, padding, out_len):
+        calls.add((x.shape, w.shape, stride, padding, out_len))
+        return scatter(x, w, stride, padding, out_len)
+
+    kernels._scatter = record
+    try:
+        for variant in ("varaug", "cnn"):
+            config = ModelConfig(variant=variant) if scale == "full" else tiny_model_config(scale, variant)
+            params = model.build_model(config, seed=0)
+            for seconds in (240,) if scale == "full" else (48, 240):
+                night = np.random.default_rng(0).normal(size=(model.input_channels(config), 10 * seconds))
+                x = t(night, np.float32, grad=False)
+                pred = model.forward(params, config, x, v=0, mode="train", rng=np.random.default_rng(0))
+                total = pred.y_hat.sum() if pred.u_logits is None else pred.y_hat.sum() + pred.u_logits.sum()
+                total.backward()
+    finally:
+        kernels._scatter = scatter
+    return sorted(calls)
+
+
+def scatter_operands(rng, x_shape, w_shape, dtype, order):
+    x = np.asarray(rng.normal(size=x_shape), dtype=dtype, order=order)
+    return x, rng.normal(size=w_shape).astype(dtype)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("scale", ["micro", "tiny", "full"])
+def test_scatter_is_the_per_tap_sum_bit_for_bit(scale, dtype, order):
+    # the deconv forward and conv1d's input gradient at every layer of the
+    # model, with upstream gradients in either layout
+    rng = np.random.default_rng(0)
+    calls = model_scatter_calls(scale)
+    assert len(calls) > 10
+    for x_shape, w_shape, stride, padding, out_len in calls:
+        x, w = scatter_operands(rng, x_shape, w_shape, dtype, order)
+        got = _scatter(x, w, stride, padding, out_len)
+        want = per_tap_scatter(x, w, stride, padding, out_len)
+        assert got.dtype == dtype and got.tobytes() == want.tobytes(), (x_shape, w_shape, stride)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("stride", [1, 2, 3, 4])
+def test_scatter_over_several_column_blocks_is_the_per_tap_sum(stride, dtype, order):
+    # each length takes a different split into column blocks; 28,800 columns
+    # is the first decoder layers' width on an 8 h night
+    rng = np.random.default_rng(stride)
+    k, padding = 7, 3
+    for c_in, c_out in ((4, 4), (128, 64)):
+        for length in (SCATTER_COLUMNS - 1, SCATTER_COLUMNS + 1, 2 * SCATTER_COLUMNS + 3, 28_800):
+            x, w = scatter_operands(rng, (c_in, length), (c_in, c_out, k), dtype, order)
+            out_len = conv_transpose_output_length(length, k, stride, padding, stride - 1)
+            got = _scatter(x, w, stride, padding, out_len)
+            want = per_tap_scatter(x, w, stride, padding, out_len)
+            if dtype == np.float32:
+                assert got.tobytes() == want.tobytes(), (c_in, length)
+            else:
+                # OpenBLAS's dgemm rounds the columns past its last full tile by
+                # the row's place in the GEMM, so one GEMM over every tap can
+                # differ there from one GEMM per tap; the order of adds is
+                # pinned by the float32 cases
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+def test_conv_bn_rrelu_over_several_column_blocks_matches_the_per_tap_scatter(transposed, monkeypatch):
+    # the deconv block's forward and the conv block's input gradient, each
+    # over more than one column block
+    stride = 2
+    length = SCATTER_COLUMNS + 1 if transposed else 2 * SCATTER_COLUMNS + 3
+    results = []
+    for scatter in (_scatter, per_tap_scatter):
+        monkeypatch.setattr(kernels, "_scatter", scatter)
+        operands, (rm, rv) = block_operands(np.random.default_rng(1), np.float32, transposed, True, length=length)
+        out = conv_bn_rrelu(
+            *operands, rm, rv, stride=stride, padding=3, transposed=transposed,
+            output_padding=stride - 1 if transposed else 0, mode="train", rng=np.random.default_rng(2),
+        )
+        g = np.random.default_rng(3).normal(size=out.shape).astype(np.float32)
+        (out * Tensor(g, dtype=np.float32)).sum().backward()
+        results.append([out.data] + [p.grad for p in operands])
+    scattered = operands[0] if transposed else out  # what _scatter multiplies
+    assert scattered.shape[1] > SCATTER_COLUMNS
+    for got, want in zip(*results):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_scatter_holds_one_column_block_at_a_time():
+    # 128 -> 64 channels over an 8 h night's 28,800 columns: the output buffer
+    # and one [64*7, width] block of taps, not the [64*7, 28,800] product
+    c_in, c_out, k, length = 128, 64, 7, 28_800
+    rng = np.random.default_rng(0)
+    x, w = scatter_operands(rng, (c_in, length), (c_in, c_out, k), np.float32, "C")
+    width = -(-length // -(-length // SCATTER_COLUMNS))
+    assert width < length
+    full_bytes = c_out * (length - 1 + k) * 4
+    block_bytes = c_out * k * width * 4
+    tracemalloc.start()
+    try:
+        _scatter(x, w, 1, 3, length)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < full_bytes + block_bytes + (1 << 20)
