@@ -22,13 +22,15 @@ from .checkpoint import OPTIMIZER_PREFIX, CheckpointError, load_checkpoint, read
 from .config import (
     ConfigError,
     FULL_PARAM_COUNT_REFERENCE,
+    GATE_MODES,
+    VARIANTS,
     RunConfig,
     config_hash,
     load_run_config,
     model_config_from_dict,
     model_config_to_dict,
 )
-from .container import write_json
+from .container import read_json, write_json
 from .data import (
     RecordError,
     crop_to_multiple,
@@ -115,13 +117,9 @@ def main(verbose: bool):
 def synth(out, profile, seed, nights, duration):
     """Generate a deterministic synthetic dataset plus a manifest."""
     try:
-        if profile is not None:
-            with open(profile, "r", encoding="utf-8") as fh:
-                prof = profile_from_dict(json.load(fh))
-        else:
-            prof = SynthProfile()
+        prof = SynthProfile() if profile is None else profile_from_dict(read_json(profile, SynthError))
         prof = _override(prof, "profile", seed=seed, nights=nights, duration_s=duration)
-    except (SynthError, json.JSONDecodeError, OSError) as exc:
+    except SynthError as exc:
         _fail(EXIT_USAGE, f"bad profile: {exc}")
 
     os.makedirs(out, exist_ok=True)
@@ -149,7 +147,7 @@ def synth(out, profile, seed, nights, duration):
 @click.option("--config", "config_path", envvar="RESPOX_CONFIG",
               type=click.Path(exists=True, dir_okay=False), help="Run config JSON (env RESPOX_CONFIG).")
 @click.option("--data", "data_dir", type=click.Path(exists=True, file_okay=False), help="Dataset directory.")
-@click.option("--variant", type=click.Choice(["backbone", "cnn", "varaug", "gated"]), default=None)
+@click.option("--variant", type=click.Choice(VARIANTS), default=None)
 @click.option("--out", required=True, type=click.Path(dir_okay=False), help="Checkpoint path.")
 @click.option("--log-out", type=click.Path(dir_okay=False), help="Train log path (default OUT.log.jsonl).")
 @click.option("--gate-map-out", type=click.Path(dir_okay=False),
@@ -220,7 +218,7 @@ def train_cmd(config_path, data_dir, variant, out, log_out, gate_map_out, seed, 
               type=click.Path(exists=True, dir_okay=False), help="Run config JSON (env RESPOX_CONFIG).")
 @click.option("--data", "data_dir", type=click.Path(exists=True, file_okay=False), help="Dataset directory.")
 @click.option("--n-heads", type=int, default=None, help="Override the head count.")
-@click.option("--mode", type=click.Choice(["grad-sim", "identity", "manual"]), default=None)
+@click.option("--mode", type=click.Choice(GATE_MODES), default=None)
 @click.option("--out", required=True, type=click.Path(dir_okay=False), help="Gate map JSON path.")
 def gatemap(ckpt, config_path, data_dir, n_heads, mode, out):
     """Derive a gate map from a trained backbone via gradient similarity."""
@@ -237,7 +235,6 @@ def gatemap(ckpt, config_path, data_dir, n_heads, mode, out):
 
     try:
         gate_map = resolve_gate_map(
-            cfg.gate.mode,
             gated_cfg,
             cfg.gate,
             backbone_params=checkpoint.params,

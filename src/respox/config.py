@@ -12,6 +12,8 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
+from .container import read_json
+
 ENCODER_DOWN_FACTOR = 240
 DECODER_UP_FACTOR = 24
 QUANTUM_S = 24
@@ -247,12 +249,7 @@ def run_config_from_dict(payload: dict) -> RunConfig:
 
 
 def load_run_config(path: str) -> RunConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return run_config_from_dict(payload)
+    return run_config_from_dict(read_json(path, ConfigError))
 
 
 def _section_to_dict(section: str, obj) -> dict:

@@ -1,6 +1,6 @@
-"""Binary container framing shared by night records and model checkpoints.
+"""Artifact I/O: the binary framing of records and checkpoints, text artifacts, JSON inputs.
 
-A container file is, little-endian throughout:
+A container file (night record or model checkpoint) is, little-endian throughout:
 
     bytes 0-3   magic naming the format ("RSP1" records, "GBU1" checkpoints)
     bytes 4-7   unsigned 32-bit header length H
@@ -10,6 +10,8 @@ A container file is, little-endian throughout:
 The format modules own the header keys and the arrays; this module owns the
 bytes around them.  Arrays are written straight from their buffers and read
 one at a time into preallocated arrays, so the file is never held whole.
+Every text artifact is written by `write_text` (JSON ones via `write_json`),
+and every JSON input is parsed by `read_json`, which raises the caller's error.
 """
 
 from __future__ import annotations
@@ -82,8 +84,21 @@ def read_array(fh, path, framing: Framing, name: str, shape, dtype) -> np.ndarra
     return arr
 
 
+def write_text(path, text: str) -> None:
+    """Write a text artifact as UTF-8."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def write_json(path, payload) -> None:
     """Write a JSON artifact: two-space indent, sorted keys, trailing newline."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def read_json(path, error: type):
+    """Parse a JSON input; an unreadable file, bad UTF-8 or bad JSON raises `error`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise error(f"cannot read {path}: {exc}") from exc

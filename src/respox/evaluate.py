@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import container
 from . import model as model_mod
 from .tensor import no_grad
 
@@ -284,14 +285,12 @@ def dump_predictions(record, y_hat, gate_series, path) -> int:
     half-up to match integer oximeter readouts; it affects the dump only,
     never the metrics. Returns the number of data rows.
     """
+    n = y_hat.shape[0]
     if gate_series is None:
-        gate_series = np.zeros(y_hat.shape[0], dtype=np.int64)
+        gate_series = np.zeros(n, dtype=np.int64)
     rounded = np.floor(y_hat + 0.5).astype(np.int64)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t\ty_true\ty_hat_raw\ty_hat_rounded\tstage\tgate_status\n")
-        for t in range(y_hat.shape[0]):
-            fh.write(
-                f"{t}\t{record.spo2[t]:.8f}\t{y_hat[t]:.8f}\t"
-                f"{rounded[t]}\t{int(record.stages[t])}\t{int(gate_series[t])}\n"
-            )
-    return int(y_hat.shape[0])
+    columns = (record.spo2[:n], y_hat, rounded, record.stages[:n], gate_series[:n])
+    rows = zip(range(n), *(column.tolist() for column in columns), strict=True)
+    text = "".join(["%d\t%.8f\t%.8f\t%d\t%d\t%d\n" % row for row in rows])
+    container.write_text(path, "t\ty_true\ty_hat_raw\ty_hat_rounded\tstage\tgate_status\n" + text)
+    return n

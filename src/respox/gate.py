@@ -10,7 +10,6 @@ until the requested number of heads remains.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import model as model_mod
 from .config import ModelConfig
-from .container import write_json
+from .container import read_json, write_json
 from .tensor import take
 
 log = logging.getLogger(__name__)
@@ -296,9 +295,4 @@ def save_gate_map(path, gate_map: GateMap) -> None:
 
 
 def load_gate_map(path) -> GateMap:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise GateError(f"{path}: not valid JSON ({exc})") from exc
-    return gate_map_from_dict(payload)
+    return gate_map_from_dict(read_json(path, GateError))

@@ -30,7 +30,7 @@ from .config import (
     ConfigError,
     ModelConfig,
 )
-from .data import normalize_breathing
+from .data import STAGE_MISSING, STAGE_NONREM, normalize_breathing
 from .tensor import (
     ShapeError,
     Tensor,
@@ -378,7 +378,8 @@ def forward(
         u_gate = np.asarray(u)
         if u_gate.shape != (t_out,):
             raise ShapeError(f"stage series must have shape ({t_out},), got {u_gate.shape}")
-        gate_series = gate_lookup(gate_map, v, np.where(u_gate == 255, min(2, config.u_classes - 1), u_gate))
+        u_gate = np.where(u_gate == STAGE_MISSING, min(STAGE_NONREM, config.u_classes - 1), u_gate)
+        gate_series = gate_lookup(gate_map, v, u_gate)
         y_hat = combine_heads(per_head, gate_series)
     else:
         u_logits = stage_logits()
@@ -409,16 +410,16 @@ def loss_components(y_hat: Tensor, y) -> tuple[Tensor, Tensor]:
 
 
 def stage_ce_sum(u_logits: Tensor, u: np.ndarray) -> Tensor:
-    """Summed cross-entropy of stage logits against labels; 255 seconds excluded."""
+    """Summed cross-entropy of stage logits against labels; missing seconds excluded."""
     if u_logits.ndim != 2:
         raise ShapeError(f"u_logits must be [classes, T], got {u_logits.shape}")
     n_classes, t = u_logits.shape
     u_arr = np.asarray(u)
     if u_arr.shape != (t,):
         raise ShapeError(f"stage labels must have shape ({t},), got {u_arr.shape}")
-    valid = u_arr != 255
+    valid = u_arr != STAGE_MISSING
     if np.any((u_arr[valid] < 0) | (u_arr[valid] >= n_classes)):
-        raise ShapeError(f"stage labels must lie in [0, {n_classes}) or be 255")
+        raise ShapeError(f"stage labels must lie in [0, {n_classes}) or be {STAGE_MISSING}")
     onehot = np.zeros((n_classes, t))
     cols = np.nonzero(valid)[0]
     onehot[u_arr[cols], cols] = 1.0

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .data import Record
+from .data import STAGE_MISSING, STAGE_NONREM, Record
 
 __all__ = [
     "SynthProfile",
@@ -120,6 +120,8 @@ def profile_to_dict(profile: SynthProfile) -> dict:
 
 
 def profile_from_dict(payload: dict) -> SynthProfile:
+    if not isinstance(payload, dict):
+        raise SynthError("profile root must be a JSON object")
     known = {f.name for f in fields(SynthProfile)}
     unknown = sorted(set(payload) - known)
     if unknown:
@@ -139,7 +141,7 @@ def _stage_series(rng, profile: SynthProfile, t: int) -> np.ndarray:
         stages[pos : pos + dwell] = stage
         pos += dwell
     if profile.missing_rate > 0.0:
-        stages[rng.random(t) < profile.missing_rate] = 255
+        stages[rng.random(t) < profile.missing_rate] = STAGE_MISSING
     return stages
 
 
@@ -178,7 +180,7 @@ def _night(rng: np.random.Generator, profile: SynthProfile, night: int) -> Recor
     trailing = (csum[np.arange(t) + 1] - csum[starts]) / (np.arange(t) + 1 - starts)
     drive = np.tanh(profile.response_gain * (trailing - profile.env_mu))
 
-    stage_for_response = np.where(stages == 255, 2 % profile.n_stages, stages).astype(np.int64)
+    stage_for_response = np.where(stages == STAGE_MISSING, STAGE_NONREM % profile.n_stages, stages).astype(np.int64)
     offsets = np.asarray(profile.offsets[gender])[stage_for_response]
     slopes = np.asarray(profile.slopes[gender])[stage_for_response]
     spo2 = profile.spo2_base + offsets + slopes * drive

@@ -13,13 +13,14 @@ time: a run of tensors of about ADAM_BUCKET elements, or one larger tensor.
 
 from __future__ import annotations
 
+import json
 import logging
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import __version__
+from . import __version__, container
 from . import model as model_mod
 from .checkpoint import save_checkpoint
 from .config import ConfigError, GateConfig, ModelConfig, TrainConfig
@@ -155,15 +156,9 @@ class TrainLog:
 
 def write_train_log(path, train_log: TrainLog) -> None:
     """One JSON object per epoch, seed and config hash stamped on every line."""
-    import json
-
-    with open(path, "w", encoding="utf-8") as fh:
-        for entry in train_log.entries:
-            row = dict(entry)
-            row["seed"] = train_log.seed
-            row["config_hash"] = train_log.config_hash
-            row["tool_version"] = __version__
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    stamp = {"seed": train_log.seed, "config_hash": train_log.config_hash, "tool_version": __version__}
+    lines = (json.dumps({**entry, **stamp}, sort_keys=True) + "\n" for entry in train_log.entries)
+    container.write_text(path, "".join(lines))
 
 
 def train(
@@ -296,7 +291,6 @@ def copy_backbone_into_gated(backbone_params: dict, gated_params: dict, n_heads:
 
 
 def resolve_gate_map(
-    mode: str,
     config: ModelConfig,
     gate_cfg: GateConfig,
     backbone_params: dict | None = None,
@@ -304,22 +298,20 @@ def resolve_gate_map(
     records=None,
     corr_weight: float = 0.2,
 ) -> GateMap:
-    """Build the gate map named by `mode`, sized to the model's head count."""
-    if mode == "identity":
+    """Build the gate map named by `gate_cfg.mode`, sized to the model's head count."""
+    if gate_cfg.mode == "identity":
         gate_map = identity_gate_map(config.v_states, config.u_classes)
-    elif mode == "manual":
-        if not gate_cfg.manual_table:
-            raise ConfigError("gate mode 'manual' requires a manual_table")
+    elif gate_cfg.mode == "manual":
         table = {parse_state_key(key): head for key, head in gate_cfg.manual_table.items()}
         gate_map = manual_gate_map(table, n_heads=config.n_heads)
-    elif mode == "grad-sim":
+    elif gate_cfg.mode == "grad-sim":
         if backbone_params is None or records is None:
             raise ConfigError("gate mode 'grad-sim' requires a pretrained backbone and records")
         gate_map = derive_gate_map(
             backbone_params, backbone_config, records, config.n_heads, corr_weight=corr_weight
         )
     else:
-        raise ConfigError(f"unknown gate mode {mode!r}")
+        raise ConfigError(f"unknown gate mode {gate_cfg.mode!r}")
     if gate_map.n_heads != config.n_heads:
         raise ConfigError(
             f"gate map has {gate_map.n_heads} heads, model expects {config.n_heads}"
@@ -338,21 +330,24 @@ def train_gated_pipeline(
 ) -> tuple[dict, GateMap, TrainLog]:
     """Pretrain a backbone, derive the gate map, then fine-tune the gated model.
 
-    The gate configuration is checked first: identity and manual maps are
-    resolved outright, and a grad-sim head count above the populated states
-    fails, all before any training.  Phase 1 trains a single-head backbone
-    for a pretrain_fraction share of the epoch budget.  Phase 2 derives the
-    grad-sim map from it.  Phase 3 copies the backbone into every head and
+    The gate configuration is checked first: its head count must be the
+    model's (None means a grad-sim gate of that count), identity and manual
+    maps are resolved outright, and a grad-sim head count above the
+    populated states fails, all before any training.  Phase 1 trains a
+    single-head backbone for a pretrain_fraction share of the epoch budget.
+    Phase 2 derives the grad-sim map from it.  Phase 3 copies the backbone into every head and
     trains the gated variant over the remaining epochs, gating on
     ground-truth stages.  Phase 3 restarts the optimizer; epoch numbering
     continues, so phases share one shuffle/sample seed stream.
     """
     if config.variant != "gated":
         raise ConfigError(f"pipeline requires variant 'gated', got {config.variant!r}")
-    gate_cfg = gate_cfg or GateConfig()
+    gate_cfg = gate_cfg or GateConfig(n_heads=config.n_heads)
+    if gate_cfg.n_heads != config.n_heads:
+        raise ConfigError(f"gate config has {gate_cfg.n_heads} heads, model has {config.n_heads}")
     gate_map = None
     if gate_cfg.mode != "grad-sim":
-        gate_map = resolve_gate_map(gate_cfg.mode, config, gate_cfg)
+        gate_map = resolve_gate_map(config, gate_cfg)
     else:
         check_head_count(config.n_heads, populated_states(config, records))
     pre = pretrain_epochs(train_cfg)
@@ -363,7 +358,6 @@ def train_gated_pipeline(
     )
     if gate_map is None:
         gate_map = resolve_gate_map(
-            gate_cfg.mode,
             config,
             gate_cfg,
             backbone_params=backbone_params,

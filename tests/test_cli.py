@@ -1,10 +1,11 @@
 import json
+import os
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from respox import cli
+from respox import cli, container
 from respox import train as train_mod
 from respox.checkpoint import load_checkpoint, save_checkpoint
 from respox.cli import main
@@ -96,6 +97,56 @@ def test_synth_rejects_bad_profile(runner, tmp_path):
     result = runner.invoke(main, ["synth", "--out", str(tmp_path / "d"), "--profile", str(bad)])
     assert result.exit_code == 2
     assert "bad profile" in result.stderr
+
+
+# ---------------------------------------------------------------- JSON inputs
+
+
+@pytest.mark.parametrize("raw", [b"{not json", b'{"seed": "\xff"}', None], ids=["json", "utf8", "dir"])
+@pytest.mark.parametrize("command", ["train --config", "synth --profile", "eval --gate-map"])
+def test_unreadable_json_input_exits_2_without_traceback(runner, data_dir, gated_artifacts, tmp_path, raw, command):
+    bad = tmp_path / "input.json"
+    if raw is None:
+        bad.mkdir()
+    else:
+        bad.write_bytes(raw)
+    ckpt, _ = gated_artifacts
+    args = {
+        "train --config": ["train", "--data", str(data_dir), "--out", str(tmp_path / "b.ckpt")],
+        "synth --profile": ["synth", "--out", str(tmp_path / "d")],
+        "eval --gate-map": ["eval", "--ckpt", str(ckpt), "--data", str(data_dir), "--report", str(tmp_path / "r.json")],
+    }[command]
+    result = runner.invoke(main, [*args, *command.split()[1:], str(bad)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "error:" in result.stderr.lower()
+    assert "Traceback" not in result.output
+
+
+def test_every_text_artifact_goes_through_write_text(runner, data_dir, config_file, tmp_path, monkeypatch):
+    written = []
+    write_text = container.write_text
+    monkeypatch.setattr(container, "write_text", lambda path, text: written.append(str(path)) or write_text(path, text))
+    ckpt = tmp_path / "g.ckpt"
+    trained = runner.invoke(
+        main,
+        ["train", "--config", str(config_file), "--data", str(data_dir), "--variant", "gated", "--out", str(ckpt)],
+    )
+    assert trained.exit_code == 0, trained.output
+    gate_path, log_path = f"{ckpt}.gatemap.json", f"{ckpt}.log.jsonl"
+    assert written == [gate_path, log_path]
+    report, dumps = tmp_path / "report.json", tmp_path / "dumps"
+    evaluated = runner.invoke(
+        main,
+        [
+            "eval", "--ckpt", str(ckpt), "--gate-map", gate_path, "--data", str(data_dir),
+            "--report", str(report), "--dump", str(dumps),
+        ],
+    )
+    assert evaluated.exit_code == 0, evaluated.output
+    names = sorted(os.listdir(dumps))
+    assert names
+    assert written[2:] == [str(report), *(str(dumps / name) for name in names)]
 
 
 # ---------------------------------------------------------------- train

@@ -118,6 +118,17 @@ def test_roundtrip_preserves_hash(tmp_path):
     assert config_hash(cfg) == config_hash(again)
 
 
+@pytest.mark.parametrize("raw", [b"{not json", b'{"train": {"seed": "\xff"}}', None], ids=["json", "utf8", "dir"])
+def test_load_run_config_maps_unreadable_input_to_config_error(tmp_path, raw):
+    path = tmp_path / "run.json"
+    if raw is None:
+        path.mkdir()
+    else:
+        path.write_bytes(raw)
+    with pytest.raises(ConfigError, match="cannot read"):
+        load_run_config(str(path))
+
+
 def test_model_config_dict_roundtrip():
     cfg = tiny_model_config("micro", variant="varaug")
     assert model_config_from_dict(model_config_to_dict(cfg)) == cfg

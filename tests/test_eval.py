@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import logging
 import math
+import types
 
 import numpy as np
 import pytest
@@ -329,6 +330,16 @@ def test_dump_gated_records_gate_status(tmp_path, micro_records):
     u_hat = np.argmax(pred.u_logits.data, axis=0)
     for r, u in zip(rows, u_hat):
         assert int(r[5]) == 1 + (int(u) % 2)
+
+
+@pytest.mark.parametrize("field", ["spo2", "stages"])
+def test_dump_rejects_a_series_shorter_than_the_prediction(tmp_path, micro_records, field):
+    record = micro_records[0]
+    y_hat = np.full(record.duration_s, 95.0)
+    short = types.SimpleNamespace(spo2=record.spo2, stages=record.stages)
+    setattr(short, field, getattr(record, field)[:-1])
+    with pytest.raises(ValueError):
+        dump_predictions(short, y_hat, None, str(tmp_path / "short.tsv"))
 
 
 # pinned sha256 of the gated eval output below: the report JSON as `respox

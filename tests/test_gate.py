@@ -185,9 +185,12 @@ def test_state_key_parser():
 
 def test_load_rejects_bad_payloads(tmp_path):
     path = tmp_path / "gate.json"
-    path.write_text("{not json")
-    with pytest.raises(GateError):
-        load_gate_map(str(path))
+    for raw in (b"{not json", b'{"n_heads": "\xff"}'):
+        path.write_bytes(raw)
+        with pytest.raises(GateError, match="cannot read"):
+            load_gate_map(str(path))
+    with pytest.raises(GateError, match="cannot read"):
+        load_gate_map(str(tmp_path))
     with pytest.raises(GateError):
         gate_map_from_dict({"table": {"v=0,u=0": 1}})  # missing n_heads
     with pytest.raises(GateError):

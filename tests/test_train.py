@@ -7,6 +7,7 @@ import pytest
 
 import respox.model as model_mod
 import respox.train as train_mod
+from respox import __version__
 from respox.checkpoint import load_checkpoint
 from respox.config import ConfigError, GateConfig, TrainConfig, tiny_model_config
 from respox.model import build_model
@@ -452,6 +453,20 @@ def test_train_log_rows_carry_provenance(tmp_path):
     assert rows[0]["epoch"] == 0
 
 
+def test_train_log_bytes_keep_the_row_format(tmp_path):
+    tlog = TrainLog(seed=9, config_hash="abc123")
+    for epoch in (0, 1):
+        tlog.entries.append({"epoch": epoch, "l1": 0.5, "corr": 0.1, "ce": 0.0, "loss": 0.48, "wall_s": 0.25})
+    path = tmp_path / "log.jsonl"
+    write_train_log(str(path), tlog)
+    expected = "".join(
+        f'{{"ce": 0.0, "config_hash": "abc123", "corr": 0.1, "epoch": {epoch}, "l1": 0.5, "loss": 0.48, '
+        f'"seed": 9, "tool_version": "{__version__}", "wall_s": 0.25}}\n'
+        for epoch in (0, 1)
+    )
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
 # ---------------------------------------------------------------- gated pipeline
 
 
@@ -516,6 +531,16 @@ def test_gated_pipeline_frees_the_backbone_before_fine_tuning(micro_records, mon
     train_gated_pipeline(cfg, micro_records, tc, GateConfig(n_heads=2))
     assert len(backbone) == 3
     assert alive == [False] * len(micro_records)
+
+
+@pytest.mark.parametrize("mode", ["grad-sim", "identity"])
+def test_gated_pipeline_rejects_a_gate_head_count_unlike_the_model(micro_records, monkeypatch, mode):
+    steps = []
+    monkeypatch.setattr(train_mod, "adam_step", lambda *args: steps.append(1))
+    cfg = tiny_model_config("micro", variant="gated", n_heads=2)
+    with pytest.raises(ConfigError, match="gate config has 6 heads, model has 2"):
+        train_gated_pipeline(cfg, micro_records, TrainConfig(epochs=2), GateConfig(n_heads=6, mode=mode))
+    assert not steps, "the head counts must be checked before backbone pretraining"
 
 
 def test_gated_pipeline_rejects_other_variants(micro_cfg, micro_records):
