@@ -61,6 +61,14 @@ def _load_config(path: str | None) -> RunConfig:
     return load_run_config(path)
 
 
+def _check_output_dirs(*paths: str) -> None:
+    """ConfigError unless the directory of every output path exists, checked before any work."""
+    for path in paths:
+        directory = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(directory):
+            raise ConfigError(f"output directory {directory} does not exist (for {path})")
+
+
 def _override(obj, label: str, **updates):
     """Apply non-None flag overrides onto one config section or profile, logging each change."""
     applied = {key: value for key, value in updates.items() if value is not None}
@@ -166,6 +174,9 @@ def train_cmd(config_path, data_dir, variant, out, log_out, gate_map_out, seed, 
         if cfg.model.variant == "gated" and cfg.model.n_heads != cfg.gate.n_heads:
             log.info("sizing model.n_heads from gate.n_heads = %d", cfg.gate.n_heads)
             cfg.model = replace(cfg.model, n_heads=cfg.gate.n_heads)
+        log_path = log_out or f"{out}.log.jsonl"
+        gate_path = gate_map_out or f"{out}.gatemap.json"
+        _check_output_dirs(out, log_path, *([gate_path] if cfg.model.variant == "gated" else []))
         digest = config_hash(cfg)
         records = _load_records(data_dir, cfg, split)
     except (ConfigError, RecordError, SynthError) as exc:
@@ -181,7 +192,6 @@ def train_cmd(config_path, data_dir, variant, out, log_out, gate_map_out, seed, 
                 checkpoint_path=out,
                 config_hash=digest,
             )
-            gate_path = gate_map_out or f"{out}.gatemap.json"
             gate_map.provenance["config_hash"] = digest
             gate_map.provenance["tool_version"] = __version__
             save_gate_map(gate_path, gate_map)
@@ -199,7 +209,6 @@ def train_cmd(config_path, data_dir, variant, out, log_out, gate_map_out, seed, 
     except (GateError, ConfigError) as exc:
         _fail(EXIT_FAILURE, f"gate map construction failed: {exc}")
 
-    log_path = log_out or f"{out}.log.jsonl"
     write_train_log(log_path, train_log)
     final = train_log.entries[-1]
     click.echo(
@@ -223,6 +232,7 @@ def train_cmd(config_path, data_dir, variant, out, log_out, gate_map_out, seed, 
 def gatemap(ckpt, config_path, data_dir, n_heads, mode, out):
     """Derive a gate map from a trained backbone via gradient similarity."""
     try:
+        _check_output_dirs(out)
         cfg = _load_config(config_path)
         cfg.gate = _override(cfg.gate, "gate", n_heads=n_heads, mode=mode)
         checkpoint = _load_model_checkpoint(ckpt)
@@ -268,6 +278,7 @@ def gatemap(ckpt, config_path, data_dir, n_heads, mode, out):
 def eval_cmd(ckpt, config_path, data_dir, gate_map_path, split, group_by, dump_dir, report_path):
     """Score a checkpoint on a dataset and write the JSON report."""
     try:
+        _check_output_dirs(report_path)
         cfg = _load_config(config_path)
         cfg.eval = _override(cfg.eval, "eval", split=split, group_var=group_by)
         checkpoint = _load_model_checkpoint(ckpt)

@@ -4,13 +4,17 @@ Everything operates in channels-first layout: signals are [C, L], conv
 weights are [C_out, C_in, k], transposed-conv weights are [C_in, C_out, k].
 conv1d is cross-correlation (no kernel flip); conv_transpose1d is its exact
 adjoint, so the pair shares scatter/gather cores and never disagrees.
-Both directions of both kernels run through one im2col core plus BLAS
-GEMMs: conv1d's forward and weight gradient multiply the im2col matrix of
-x, and conv_transpose1d's backward builds the im2col matrix of the
-upstream gradient once for both its input and weight gradients.  The
-remaining direction of each (conv1d's input gradient, conv_transpose1d's
-forward) is a scatter: one GEMM per block of SCATTER_COLUMNS input columns
-yields every kernel tap of the block, and k strided adds place the taps.
+Both directions of both kernels run through one strided window view of
+the padded input plus BLAS GEMMs, tiled into blocks of at most
+SCATTER_COLUMNS columns.  conv1d's forward is a gather: each block of
+output columns copies its windows into one reused buffer and takes one
+GEMM, so the whole [C_in*k, L_out] im2col matrix never exists.
+conv_transpose1d's forward and conv1d's input gradient are a scatter: one
+GEMM per block of input columns yields every kernel tap of the block, and
+k strided adds place the taps.  The two backward products that reduce over
+columns keep the whole im2col matrix, so their sums keep one order:
+conv1d's weight gradient, and conv_transpose1d's backward, which builds
+the matrix of the upstream gradient once for both its gradients.
 
 The network's layers are two fused kernels, each one graph node that runs
 the numpy operations of the composition it replaces, in the same order, so
@@ -66,7 +70,7 @@ __all__ = [
 RRELU_LOWER = 1.0 / 8.0
 RRELU_UPPER = 1.0 / 3.0
 LAYER_NORM_EPS = 1e-12
-SCATTER_COLUMNS = 4096  # input columns per _scatter GEMM
+SCATTER_COLUMNS = 4096  # columns per _scatter or _gather GEMM
 
 
 def conv_output_length(length: int, kernel: int, stride: int, padding: int) -> int:
@@ -86,14 +90,62 @@ def conv_transpose_output_length(
     return out
 
 
-def _im2col(x: np.ndarray, k: int, stride: int, padding: int, out_len: int) -> np.ndarray:
-    """The [C*k, out_len] im2col matrix: cols[i*k + j, t] = x_padded[i, t*stride + j]."""
+def _windows(x: np.ndarray, k: int, stride: int, padding: int, out_len: int) -> np.ndarray:
+    """The [C, k, out_len] view windows[i, j, t] = x_padded[i, t*stride + j] of a padded copy of x."""
     c, length = x.shape
     xp = np.zeros((c, max(padding + length, (out_len - 1) * stride + k)), dtype=x.dtype)
     xp[:, padding : padding + length] = x
     s0, s1 = xp.strides
-    windows = np.ndarray((c, k, out_len), xp.dtype, xp, 0, (s0, s1, stride * s1))
-    return windows.reshape(c * k, out_len)
+    return np.ndarray((c, k, out_len), xp.dtype, xp, 0, (s0, s1, stride * s1))
+
+
+def _im2col(x: np.ndarray, k: int, stride: int, padding: int, out_len: int) -> np.ndarray:
+    """The [C*k, out_len] im2col matrix: cols[i*k + j, t] = x_padded[i, t*stride + j]."""
+    return _windows(x, k, stride, padding, out_len).reshape(x.shape[0] * k, out_len)
+
+
+def _column_blocks(length: int) -> tuple[range, int]:
+    """(starts, width) of the fewest blocks of at most SCATTER_COLUMNS columns that cover
+    range(length), balanced so that no block is a one-column tail."""
+    blocks = max(1, -(-length // SCATTER_COLUMNS))
+    width = max(1, -(-length // blocks))
+    return range(0, length, width), width
+
+
+def _gather(x: np.ndarray, w: np.ndarray, stride: int, padding: int, out_len: int) -> np.ndarray:
+    """out[o, t] = sum_{i,j} w[o, i, j] * x_padded[i, t*stride + j]: conv1d without bias.
+
+    The product w.reshape(c_out, c_in*k) @ _im2col(x, ...), one block of at
+    most SCATTER_COLUMNS output columns at a time: each block's windows are
+    copied into one reused buffer and one GEMM writes the block's columns.
+    The blocks are _scatter's balanced ones, so no [c_in*k, out_len] matrix
+    exists: 51.6 MB for the 64-channel k = 7 layer of an 8 h night.
+
+    Each output column reduces over the same products as in the whole GEMM,
+    so float32 outputs equal its bits wherever OpenBLAS gives a column the
+    same bits whatever the columns around it: on every conv1d of the model
+    at micro, tiny and full scale, and at full scale on nights of 4,320 to
+    28,800 s.  GEMMs of at most four output rows over 16 or more input
+    channels can round a block's columns differently (OpenBLAS's
+    small-matrix and gemv paths).  The model's 1x1 projections to one or
+    three channels are such GEMMs; their im2col matrix is no larger than x,
+    so they run as one GEMM.  In float64, dgemm rounds the columns past its
+    last full tile by their place in the GEMM.
+    """
+    c_out, c_in, k = w.shape
+    windows = _windows(x, k, stride, padding, out_len)
+    taps = w.reshape(c_out, c_in * k)
+    if k == 1:  # the im2col matrix is no larger than x: nothing to save by tiling
+        return taps @ windows.reshape(c_in, out_len)
+    out = np.empty((c_out, out_len), dtype=np.result_type(x, w))
+    starts, width = _column_blocks(out_len)
+    buf = np.empty(c_in * k * width, dtype=x.dtype)
+    for t0 in starts:
+        n = min(width, out_len - t0)
+        cols = buf[: c_in * k * n].reshape(c_in, k, n)
+        np.copyto(cols, windows[:, :, t0 : t0 + n])
+        np.matmul(taps, cols.reshape(c_in * k, n), out=out[:, t0 : t0 + n])
+    return out
 
 
 def _scatter(x: np.ndarray, w: np.ndarray, stride: int, padding: int, out_len: int) -> np.ndarray:
@@ -122,11 +174,10 @@ def _scatter(x: np.ndarray, w: np.ndarray, stride: int, padding: int, out_len: i
     _, c_out, k = w.shape
     full_len = max((length - 1) * stride + k, padding + out_len)
     full = np.zeros((c_out, full_len), dtype=x.dtype)
-    blocks = max(1, -(-length // SCATTER_COLUMNS))
-    width = max(1, -(-length // blocks))
+    starts, width = _column_blocks(length)
     taps = w.reshape(c_in, c_out * k).T
     buf = np.empty(c_out * k * width, dtype=x.dtype)
-    for t0 in reversed(range(0, length, width)):
+    for t0 in reversed(starts):
         n = min(width, length - t0)
         y = np.matmul(taps, x[:, t0 : t0 + n], out=buf[: c_out * k * n].reshape(c_out * k, n))
         y = y.reshape(c_out, k, n)
@@ -166,7 +217,7 @@ def _conv_forward(xd, wd, stride, padding, out_len, transposed):
     """conv1d (or conv_transpose1d) of the arrays, without bias."""
     if transposed:
         return _scatter(xd, wd, stride, padding, out_len)
-    return wd.reshape(wd.shape[0], -1) @ _im2col(xd, wd.shape[2], stride, padding, out_len)
+    return _gather(xd, wd, stride, padding, out_len)
 
 
 def _conv_grad(g, xd, wd, stride, padding, transposed, need_x, need_w):
@@ -317,18 +368,19 @@ def _rrelu_tail(y, lower, upper, mode, rng, keep):
         raise ShapeError(f"rrelu mode must be train or eval, got {mode!r}")
     if not (0.0 <= lower <= upper < 1.0):
         raise ShapeError(f"rrelu bounds must satisfy 0 <= lower <= upper < 1, got ({lower}, {upper})")
-    one = y.dtype.type(1.0)
+    # the factor is where(y >= 0, 1, slope) as max(slope, y >= 0): slopes lie
+    # in [0, 1), so the two agree on every y, NaN included, and the maximum
+    # skips np.where's slow path for a scalar operand
     if mode == "train":
         if rng is None:
             raise ShapeError("rrelu train mode requires an rng")
         slopes = rng.uniform(lower, upper, size=y.shape).astype(y.dtype, copy=False)
-        factor = np.where(y >= 0, one, slopes)
+        factor = np.maximum(slopes, y >= 0, out=slopes)
         return y * factor, factor
-    # max(slope * y, y) equals y * where(y >= 0, 1, slope) bit for bit, -0.0,
-    # NaN payloads and underflow included; the one exception is +inf at slope
-    # 0, which gives NaN
+    # max(slope * y, y) equals y * factor bit for bit, -0.0, NaN payloads and
+    # underflow included; the one exception is +inf at slope 0, which gives NaN
     slope = y.dtype.type((lower + upper) / 2.0)
-    return np.maximum(slope * y, y), (np.where(y >= 0, one, slope) if keep else None)
+    return np.maximum(slope * y, y), (np.maximum(slope, y >= 0, dtype=y.dtype) if keep else None)
 
 
 def rrelu(

@@ -241,6 +241,27 @@ def test_train_gated_gate_failure_exits_1(runner, data_dir, tmp_path, gate, monk
     assert not steps, "the gate config must fail before backbone pretraining"
 
 
+@pytest.mark.parametrize("flag", ["--out", "--log-out", "--gate-map-out"])
+def test_train_into_a_missing_directory_exits_2_before_training(runner, data_dir, config_file, tmp_path, flag, monkeypatch):
+    # --out into a missing directory takes the derived log and gate map paths with it
+    steps = []
+    adam_step = train_mod.adam_step
+    monkeypatch.setattr(train_mod, "adam_step", lambda *args: steps.append(1) or adam_step(*args))
+    paths = {"--out": str(tmp_path / "g.ckpt"), flag: str(tmp_path / "missing" / "artifact")}
+    result = runner.invoke(
+        main,
+        [
+            "train", "--config", str(config_file), "--data", str(data_dir), "--variant", "gated",
+            *(arg for item in paths.items() for arg in item),
+        ],
+    )
+    assert result.exit_code == 2, result.output
+    assert f"output directory {tmp_path / 'missing'} does not exist" in result.stderr
+    assert isinstance(result.exception, SystemExit)
+    assert not steps
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("section,key", [("train", "batch"), ("data", "normalize")])
 def test_train_rejects_removed_config_keys(runner, data_dir, tmp_path, section, key):
     payload = run_config_to_dict(_micro_run_config())
@@ -271,6 +292,19 @@ def test_gatemap_from_backbone(runner, data_dir, config_file, backbone_ckpt, tmp
     assert payload["n_heads"] == 2
     assert len(payload["table"]) == 6
     assert payload["provenance"]["mode"] == "grad-sim"
+
+
+def test_gatemap_into_a_missing_directory_exits_2(runner, data_dir, config_file, backbone_ckpt, tmp_path):
+    result = runner.invoke(
+        main,
+        [
+            "gatemap", "--ckpt", str(backbone_ckpt), "--config", str(config_file),
+            "--data", str(data_dir), "--out", str(tmp_path / "missing" / "gate.json"),
+        ],
+    )
+    assert result.exit_code == 2, result.output
+    assert f"output directory {tmp_path / 'missing'} does not exist" in result.stderr
+    assert isinstance(result.exception, SystemExit)
 
 
 @pytest.fixture(scope="module")
@@ -384,6 +418,23 @@ def test_eval_unknown_group_variable_exits_2_before_any_forward(
     assert "has no variable 'nosuch'" in result.stderr
     assert predict_calls == []
     assert not (tmp_path / "r.json").exists()
+
+
+def test_eval_report_into_a_missing_directory_exits_2_before_any_forward(
+    runner, data_dir, backbone_ckpt, tmp_path, predict_calls
+):
+    result = runner.invoke(
+        main,
+        [
+            "eval", "--ckpt", str(backbone_ckpt), "--data", str(data_dir), "--split", "all",
+            "--dump", str(tmp_path / "dumps"), "--report", str(tmp_path / "missing" / "r.json"),
+        ],
+    )
+    assert result.exit_code == 2, result.output
+    assert f"output directory {tmp_path / 'missing'} does not exist" in result.stderr
+    assert isinstance(result.exception, SystemExit)
+    assert predict_calls == []
+    assert os.listdir(tmp_path) == []
 
 
 def test_eval_gate_map_must_fit_checkpoint(runner, data_dir, gated_artifacts, tmp_path):

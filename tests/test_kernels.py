@@ -11,6 +11,7 @@ from respox.config import ModelConfig, tiny_model_config
 from respox.kernels import (
     ATTENTION_PARAM_KEYS,
     SCATTER_COLUMNS,
+    _gather,
     _im2col,
     _scatter,
     attention_param_shapes,
@@ -328,13 +329,19 @@ def test_rrelu_eval_slope_is_midpoint():
     np.testing.assert_allclose(x.grad, [11 / 48, 1.0])
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("bounds", [(1 / 8, 1 / 3), (0.0, 0.999)])
-def test_rrelu_eval_is_the_factor_product_bit_for_bit(dtype, bounds):
+def special_values(dtype):
+    """Signed zeros, infinities, NaNs, the smallest normals and subnormals and the largest
+    finite values of dtype, then 500 normal draws."""
     info = np.finfo(dtype)
     special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, info.tiny, -info.tiny,
                info.smallest_subnormal, -info.smallest_subnormal, info.max, -info.max]
-    x = np.concatenate([np.array(special, dtype=dtype), np.random.default_rng(4).normal(size=500).astype(dtype)])
+    return np.concatenate([np.array(special, dtype=dtype), np.random.default_rng(4).normal(size=500).astype(dtype)])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bounds", [(1 / 8, 1 / 3), (0.0, 0.999)])
+def test_rrelu_eval_is_the_factor_product_bit_for_bit(dtype, bounds):
+    x = special_values(dtype)
     slope = dtype(sum(bounds) / 2)
     factor = np.where(x >= 0, dtype(1.0), slope)
     xt = t(x, dtype)
@@ -344,6 +351,24 @@ def test_rrelu_eval_is_the_factor_product_bit_for_bit(dtype, bounds):
     g = np.random.default_rng(5).normal(size=x.shape).astype(dtype)
     (out * g).sum().backward()
     np.testing.assert_array_equal(xt.grad.view(bits), (g * factor).view(bits))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_rrelu_factor_is_where_x_is_nonnegative_one_else_the_slope_bit_for_bit(dtype, mode):
+    # the factor is built as max(slope, x >= 0); it must be np.where's, NaN,
+    # signed zeros, infinities and subnormals included
+    x = special_values(dtype)
+    rng = np.random.default_rng(2) if mode == "train" else None
+    _, factor = kernels._rrelu_tail(x.copy(), 1 / 8, 1 / 3, mode, rng, keep=True)
+    if mode == "train":
+        slopes = np.random.default_rng(2).uniform(1 / 8, 1 / 3, size=x.shape).astype(dtype)
+    else:
+        slopes = dtype((1 / 8 + 1 / 3) / 2)
+    want = np.where(x >= 0, dtype(1.0), slopes)
+    bits = np.uint32 if dtype == np.float32 else np.uint64
+    assert factor.dtype == dtype
+    np.testing.assert_array_equal(factor.view(bits), want.view(bits))
 
 
 def test_rrelu_train_slopes_within_bounds_and_reused_in_backward():
@@ -603,18 +628,22 @@ def per_tap_scatter(x, w, stride, padding, out_len):
 
 
 @functools.lru_cache(maxsize=None)
-def model_scatter_calls(scale):
-    """(x shape, w shape, stride, padding, out_len) of every _scatter call in one train
-    step of the varaug and cnn variants: nights of 48 and 240 s at micro and tiny
-    scale, 240 s at full scale."""
-    calls = set()
-    scatter = kernels._scatter
+def model_conv_calls(scale):
+    """{"_scatter": calls, "_gather": calls}: (x shape, w shape, stride, padding, out_len)
+    of every call of each in one train step of the varaug and cnn variants: nights of
+    48 and 240 s at micro and tiny scale, 240 s at full scale."""
+    calls = {"_scatter": set(), "_gather": set()}
+    cores = {name: getattr(kernels, name) for name in calls}
 
-    def record(x, w, stride, padding, out_len):
-        calls.add((x.shape, w.shape, stride, padding, out_len))
-        return scatter(x, w, stride, padding, out_len)
+    def recorder(name):
+        def record(x, w, stride, padding, out_len):
+            calls[name].add((x.shape, w.shape, stride, padding, out_len))
+            return cores[name](x, w, stride, padding, out_len)
 
-    kernels._scatter = record
+        return record
+
+    for name in calls:
+        setattr(kernels, name, recorder(name))
     try:
         for variant in ("varaug", "cnn"):
             config = ModelConfig(variant=variant) if scale == "full" else tiny_model_config(scale, variant)
@@ -626,8 +655,9 @@ def model_scatter_calls(scale):
                 total = pred.y_hat.sum() if pred.u_logits is None else pred.y_hat.sum() + pred.u_logits.sum()
                 total.backward()
     finally:
-        kernels._scatter = scatter
-    return sorted(calls)
+        for name, core in cores.items():
+            setattr(kernels, name, core)
+    return {name: sorted(found) for name, found in calls.items()}
 
 
 def scatter_operands(rng, x_shape, w_shape, dtype, order):
@@ -642,7 +672,7 @@ def test_scatter_is_the_per_tap_sum_bit_for_bit(scale, dtype, order):
     # the deconv forward and conv1d's input gradient at every layer of the
     # model, with upstream gradients in either layout
     rng = np.random.default_rng(0)
-    calls = model_scatter_calls(scale)
+    calls = model_conv_calls(scale)["_scatter"]
     assert len(calls) > 10
     for x_shape, w_shape, stride, padding, out_len in calls:
         x, w = scatter_operands(rng, x_shape, w_shape, dtype, order)
@@ -715,3 +745,85 @@ def test_scatter_holds_one_column_block_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < full_bytes + block_bytes + (1 << 20)
+
+
+def im2col_product(x, w, stride, padding, out_len):
+    """_gather as one GEMM over the whole im2col matrix: the product whose bits it keeps."""
+    return w.reshape(w.shape[0], -1) @ _im2col(x, w.shape[2], stride, padding, out_len)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("scale", ["micro", "tiny", "full"])
+def test_gather_is_the_im2col_product_bit_for_bit(scale, dtype):
+    # the conv1d forward at every layer of the model
+    rng = np.random.default_rng(0)
+    calls = model_conv_calls(scale)["_gather"]
+    assert len(calls) > 10
+    for x_shape, w_shape, stride, padding, out_len in calls:
+        x, w = (rng.normal(size=shape).astype(dtype) for shape in (x_shape, w_shape))
+        got = _gather(x, w, stride, padding, out_len)
+        want = im2col_product(x, w, stride, padding, out_len)
+        assert got.dtype == dtype and got.tobytes() == want.tobytes(), (x_shape, w_shape, stride)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("stride", [1, 2, 5])
+def test_gather_over_several_column_blocks_is_the_im2col_product(stride, dtype):
+    # each output length takes a different split into column blocks; 28,800
+    # columns is the encoder's third layer on an 8 h night.  The 1x1
+    # projection to 3 channels is the stage head's, whose blocked GEMMs would
+    # round differently on a 7,440 s night: it runs as one GEMM
+    rng = np.random.default_rng(stride)
+    for c_out, c_in, k, padding in ((4, 4, 7, 3), (128, 64, 7, 3), (3, 64, 1, 0)):
+        for out_len in (SCATTER_COLUMNS - 1, SCATTER_COLUMNS + 1, 2 * SCATTER_COLUMNS + 3, 7_440, 28_800):
+            length = (out_len - 1) * stride + k - 2 * padding
+            x, w = (rng.normal(size=shape).astype(dtype) for shape in ((c_in, length), (c_out, c_in, k)))
+            got = _gather(x, w, stride, padding, out_len)
+            want = im2col_product(x, w, stride, padding, out_len)
+            assert got.shape == (c_out, conv_output_length(length, k, stride, padding))
+            if dtype == np.float32:
+                assert got.tobytes() == want.tobytes(), (c_out, out_len)
+            else:
+                # dgemm rounds the columns past its last full tile by their
+                # place in the GEMM (see the _scatter case above)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("op", ["conv1d", "conv_bn_rrelu"])
+def test_conv1d_over_several_column_blocks_matches_the_im2col_product(op, monkeypatch):
+    # conv1d and the conv block, forward and every gradient, each over more
+    # than one column block of the output
+    stride, length = 2, 2 * (2 * SCATTER_COLUMNS + 3)
+    results = []
+    for gather in (_gather, im2col_product):
+        monkeypatch.setattr(kernels, "_gather", gather)
+        operands, (rm, rv) = block_operands(np.random.default_rng(1), np.float32, False, True, length=length)
+        if op == "conv1d":
+            out = conv1d(*operands[:3], stride=stride, padding=3)
+        else:
+            out = conv_bn_rrelu(*operands, rm, rv, stride=stride, padding=3, mode="train", rng=np.random.default_rng(2))
+        g = np.random.default_rng(3).normal(size=out.shape).astype(np.float32)
+        (out * Tensor(g, dtype=np.float32)).sum().backward()
+        results.append([out.data] + [p.grad for p in operands if p.grad is not None])
+    assert out.shape[1] > 2 * SCATTER_COLUMNS
+    assert len(results[0]) == len(results[1]) > 1
+    for got, want in zip(*results):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_conv1d_forward_holds_no_im2col_matrix():
+    # 64 -> 64 channels, k = 7, over an 8 h night's 28,800 columns: the padded
+    # input, the output and one block of windows, not the [64*7, 28,800] matrix
+    c_in, c_out, k, length = 64, 64, 7, 28_800
+    rng = np.random.default_rng(0)
+    x = t(rng.normal(size=(c_in, length)), np.float32, grad=False)
+    w = t(rng.normal(size=(c_out, c_in, k)), np.float32, grad=False)
+    im2col_bytes = c_in * k * length * 4
+    tracemalloc.start()
+    try:
+        out = conv1d(x, w, padding=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (c_out, length)
+    assert peak < im2col_bytes
