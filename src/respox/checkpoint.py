@@ -69,11 +69,24 @@ def save_checkpoint(
     container.write(path, GBU1, manifest, [arrays[name] for name in names])
 
 
+def _is_entry(entry) -> bool:
+    """{name: str, shape: list of ints >= 0, byte_offset: int}, nothing else."""
+    return (
+        isinstance(entry, dict) and set(entry) == {"name", "shape", "byte_offset"}
+        and isinstance(entry["name"], str) and container.is_json_int(entry["byte_offset"])
+        and isinstance(entry["shape"], list) and all(container.is_json_int(n) and n >= 0 for n in entry["shape"])
+    )
+
+
 def _checked_manifest(path, fh) -> dict:
-    """Read the manifest and check its offsets and the float section size against the file."""
+    """Read the manifest and check its entries, offsets and the float section size against the file."""
     manifest, held = container.read_header(fh, path, GBU1)
+    if not isinstance(manifest["tensors"], list) or not isinstance(manifest["meta"], dict):
+        raise CheckpointError(f"{path}: manifest 'tensors' must be a list and 'meta' an object")
     expected = 0
     for entry in manifest["tensors"]:
+        if not _is_entry(entry):
+            raise CheckpointError(f"{path}: bad tensor entry {entry!r}, expected {{name, shape, byte_offset}}")
         if entry["byte_offset"] != expected:
             raise CheckpointError(
                 f"{path}: tensor {entry['name']!r} at offset {entry['byte_offset']}, expected {expected}"

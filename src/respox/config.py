@@ -232,7 +232,9 @@ def _section_from_dict(cls, section: str, payload: dict):
         kwargs[name] = value
     try:
         return cls(**kwargs)
-    except TypeError as exc:
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, IndexError) as exc:
         raise ConfigError(f"bad value in config section {section!r}: {exc}") from exc
 
 

@@ -38,6 +38,11 @@ class Framing(NamedTuple):
     malformed: type
 
 
+def is_json_int(value) -> bool:
+    """A JSON integer as json.loads returns it: an int, and not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def write(path, framing: Framing, header: dict, arrays) -> None:
     """Write magic, header length, canonical JSON header, then each array's buffer."""
     text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -62,6 +67,8 @@ def read_header(fh, path, framing: Framing) -> tuple[dict, int]:
         header = json.loads(text.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise framing.malformed(f"{path}: header is not valid JSON ({exc})") from exc
+    if not isinstance(header, dict):
+        raise framing.malformed(f"{path}: header is not a JSON object")
     missing = [key for key in framing.required if key not in header]
     if missing:
         raise framing.malformed(f"{path}: header missing {missing}")

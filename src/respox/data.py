@@ -102,9 +102,14 @@ class Record:
         if self.gender not in (0, 1):
             raise ValueRangeError(f"{self.subject_id}: gender must be 0 or 1, got {self.gender}")
         for key, value in self.vars.items():
-            if not isinstance(value, int) or isinstance(value, bool):
+            if not container.is_json_int(value):
                 raise ValueRangeError(f"{self.subject_id}: var {key!r} must be a small int, got {value!r}")
         return self
+
+
+def accessible_state(record: Record) -> int:
+    """The gate's accessible index v of a night: its gender."""
+    return record.gender
 
 
 def write_record(record: Record, path) -> None:
@@ -123,11 +128,18 @@ def record_file_size(header_len: int, fb: int, fo: int, duration_s: int) -> int:
     return container.PREFIX_BYTES + header_len + _body_size(fb, fo, duration_s)
 
 
+def _header_int(path, name: str, value) -> int:
+    """A header field that must be a JSON integer."""
+    if not container.is_json_int(value):
+        raise RecordError(f"{path}: header field {name!r} must be an integer, got {value!r}")
+    return value
+
+
 def read_record(path) -> Record:
     """Read one night, each array straight from the file into its own buffer."""
     with open(path, "rb") as fh:
         header, held = container.read_header(fh, path, RSP1)
-        fb, fo, t = int(header["fb"]), int(header["fo"]), int(header["duration_s"])
+        fb, fo, t = (_header_int(path, key, header[key]) for key in ("fb", "fo", "duration_s"))
         if fb <= 0 or fo <= 0 or t <= 0:
             raise ValueRangeError(f"{path}: fb/fo/duration_s must be positive, got {fb}/{fo}/{t}")
         container.check_body(path, RSP1, held, _body_size(fb, fo, t))
@@ -135,6 +147,9 @@ def read_record(path) -> Record:
         spo2 = container.read_array(fh, path, RSP1, "spo2", fo * t, "<f4")
         stages = container.read_array(fh, path, RSP1, "stages", fo * t, np.uint8)
 
+    header_vars = header["vars"]
+    if not isinstance(header_vars, dict):
+        raise RecordError(f"{path}: header field 'vars' must be an object of integers, got {header_vars!r}")
     return Record(
         subject_id=str(header["subject_id"]),
         dataset_id=str(header["dataset_id"]),
@@ -143,8 +158,8 @@ def read_record(path) -> Record:
         breathing=breathing,
         spo2=spo2,
         stages=stages,
-        gender=int(header["gender"]),
-        vars={str(k): int(v) for k, v in header["vars"].items()},
+        gender=_header_int(path, "gender", header["gender"]),
+        vars={key: _header_int(path, f"vars.{key}", value) for key, value in header_vars.items()},
     ).validate()
 
 

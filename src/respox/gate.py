@@ -18,6 +18,7 @@ import numpy as np
 from . import model as model_mod
 from .config import ModelConfig
 from .container import read_json, write_json
+from .data import accessible_state
 from .tensor import take
 
 log = logging.getLogger(__name__)
@@ -50,6 +51,17 @@ class GateMap:
                 raise GateError(f"state {state} maps to head {head}, outside 1..{self.n_heads}")
         return self
 
+    def lookup(self, v: int, u_series) -> np.ndarray:
+        """s[t] = table[(v, u[t])]; unmapped pairs are an error, never invented."""
+        u_arr = np.asarray(u_series)
+        out = np.empty(u_arr.shape, dtype=np.int64)
+        for u in np.unique(u_arr):
+            key = (int(v), int(u))
+            if key not in self.table:
+                raise GateError(f"gate table has no entry for (v={key[0]}, u={key[1]})")
+            out[u_arr == u] = self.table[key]
+        return out
+
 
 def flatten_grads(params: dict, names, out: np.ndarray) -> np.ndarray:
     """Write the named gradients, in order, into the float64 vector `out`; a missing one as zeros."""
@@ -69,7 +81,7 @@ def state_gradient(
     state: tuple,
     corr_weight: float = 0.2,
 ) -> StateGradient:
-    """Average loss gradient over the seconds of one (gender, stage) state.
+    """Average loss gradient over the seconds of one (v, u) state.
 
     Runs the model in eval mode so repeated calls are deterministic and
     batch-norm running statistics stay untouched.  Each record contributes
@@ -81,7 +93,7 @@ def state_gradient(
     grads = np.empty(sum(params[name].size for name in names), dtype=np.float64)  # refilled per record
     total, samples = None, 0
     for record in records:
-        if record.gender != v:
+        if accessible_state(record) != v:
             continue
         mask = record.stages == u
         if not np.any(mask):
@@ -195,22 +207,10 @@ def manual_gate_map(table: dict, n_heads: int | None = None) -> GateMap:
     return GateMap(n_heads=n_heads, table=entries, provenance={"mode": "manual"}).validate()
 
 
-def gate_lookup(gate_map: GateMap, v: int, u_series) -> np.ndarray:
-    """s[t] = table[(v, u[t])]; unmapped pairs are an error, never invented."""
-    u_arr = np.asarray(u_series)
-    out = np.empty(u_arr.shape, dtype=np.int64)
-    for u in np.unique(u_arr):
-        key = (int(v), int(u))
-        if key not in gate_map.table:
-            raise GateError(f"gate table has no entry for (v={key[0]}, u={key[1]})")
-        out[u_arr == u] = gate_map.table[key]
-    return out
-
-
 def populated_states(config: ModelConfig, records) -> list:
     """The (v, u) states of the config's space that some record carries, in order."""
     space = state_space(config.v_states, config.u_classes)
-    return [(v, u) for v, u in space if any(r.gender == v and np.any(r.stages == u) for r in records)]
+    return [(v, u) for v, u in space if any(accessible_state(r) == v and np.any(r.stages == u) for r in records)]
 
 
 def check_head_count(n_heads: int, populated: list) -> None:
@@ -287,7 +287,10 @@ def gate_map_from_dict(payload: dict) -> GateMap:
         table = {parse_state_key(key): int(head) for key, head in payload["table"].items()}
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise GateError(f"bad gate-map payload: {exc}") from exc
-    return GateMap(n_heads=n_heads, table=table, provenance=payload.get("provenance", {})).validate()
+    provenance = payload.get("provenance", {})
+    if not isinstance(provenance, dict):
+        raise GateError(f"bad gate-map payload: provenance must be an object, got {provenance!r}")
+    return GateMap(n_heads=n_heads, table=table, provenance=provenance).validate()
 
 
 def save_gate_map(path, gate_map: GateMap) -> None:

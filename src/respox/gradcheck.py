@@ -16,6 +16,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import kernels
+from . import model as model_mod
+from .config import tiny_model_config
 from .tensor import Tensor, no_grad
 
 TOL_F32 = 1e-3
@@ -253,7 +255,7 @@ def run_suite(seed: int = 0, instances: int = 20) -> list[CheckResult]:
     return results
 
 
-def _rrelu_kink_margin(model_mod, cfg, params, x_np) -> float:
+def _rrelu_kink_margin(cfg, params, x_np) -> float:
     """Smallest |pre-activation| any rrelu sees in one eval forward pass.
 
     Finite differences step over the rrelu kink when a pre-activation sits
@@ -280,7 +282,7 @@ def _rrelu_kink_margin(model_mod, cfg, params, x_np) -> float:
     return min(margins)
 
 
-def _kink_safe_draw(model_mod, cfg, seed: int, duration: int):
+def _kink_safe_draw(cfg, seed: int, duration: int):
     """(seed, kink margin, input) of the best of up to 40 weight/input draws.
 
     Scans for a draw whose pre-activations all keep a healthy distance from
@@ -291,7 +293,7 @@ def _kink_safe_draw(model_mod, cfg, seed: int, duration: int):
         rng = np.random.default_rng(candidate)
         x_np = rng.uniform(-1.0, 1.0, size=(1, cfg.fb * duration))
         params64 = model_mod.build_model(cfg, seed=candidate, dtype=np.float64)
-        margin = _rrelu_kink_margin(model_mod, cfg, params64, x_np)
+        margin = _rrelu_kink_margin(cfg, params64, x_np)
         if margin > best_margin:
             best_seed, best_margin, best_x = candidate, margin, x_np
         if margin > 1e-3:
@@ -301,13 +303,10 @@ def _kink_safe_draw(model_mod, cfg, seed: int, duration: int):
 
 def run_model_suite(seed: int = 0) -> list[CheckResult]:
     """Whole-model check: encoder -> bottleneck -> decoder -> loss, eval-mode activations."""
-    from . import model as model_mod
-    from .config import tiny_model_config
-
     results: list[CheckResult] = []
     cfg = tiny_model_config(scale="micro")
     duration = 48
-    best_seed, best_margin, x_np = _kink_safe_draw(model_mod, cfg, seed, duration)
+    best_seed, best_margin, x_np = _kink_safe_draw(cfg, seed, duration)
     eps = min(1e-6, best_margin / 100.0)
     y_np = np.random.default_rng(best_seed).uniform(0.9, 0.99, size=(cfg.fo * duration,))
 

@@ -30,7 +30,7 @@ from .config import (
     ConfigError,
     ModelConfig,
 )
-from .data import STAGE_MISSING, STAGE_NONREM, normalize_breathing
+from .data import STAGE_MISSING, STAGE_NONREM, accessible_state, normalize_breathing
 from .tensor import (
     ShapeError,
     Tensor,
@@ -319,7 +319,7 @@ def as_input(breathing: np.ndarray, params: ModelParams, v: int | None = None) -
 def night_input(params: ModelParams, config: ModelConfig, record) -> tuple[Tensor, int | None]:
     """One night as model input: z-scored breathing packed [C, L], plus the
     accessible state v for varaug and gated (None otherwise)."""
-    v = record.gender if config.variant in ("varaug", "gated") else None
+    v = accessible_state(record) if config.variant in ("varaug", "gated") else None
     x = as_input(normalize_breathing(record), params, v=v if config.variant == "varaug" else None)
     return x, v
 
@@ -346,8 +346,6 @@ def forward(
     if config.variant == "varaug" and v is None:
         raise ConfigError("varaug forward requires the accessible state v")
     if config.variant == "gated":
-        from .gate import gate_lookup  # local import, gate depends on model
-
         if gate_map is None:
             raise ConfigError("gated forward requires a gate map")
         if v is None:
@@ -379,11 +377,11 @@ def forward(
         if u_gate.shape != (t_out,):
             raise ShapeError(f"stage series must have shape ({t_out},), got {u_gate.shape}")
         u_gate = np.where(u_gate == STAGE_MISSING, min(STAGE_NONREM, config.u_classes - 1), u_gate)
-        gate_series = gate_lookup(gate_map, v, u_gate)
+        gate_series = gate_map.lookup(v, u_gate)
         y_hat = combine_heads(per_head, gate_series)
     else:
         u_logits = stage_logits()
-        gate_series = gate_lookup(gate_map, v, np.argmax(u_logits.data, axis=0))
+        gate_series = gate_map.lookup(v, np.argmax(u_logits.data, axis=0))
         heads = np.unique(gate_series)
         y_hat = combine_heads(decode(heads), np.searchsorted(heads, gate_series) + 1)
     return Prediction(y_hat=y_hat, u_logits=u_logits, gate_series=gate_series)

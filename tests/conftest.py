@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -32,3 +35,16 @@ def micro_params(micro_cfg):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture(scope="session")
+def rewrite_header():
+    """rewrite(path, edit): replace a container file's JSON header by edit(header), keeping the body."""
+
+    def rewrite(path, edit):
+        raw = path.read_bytes()
+        (length,) = struct.unpack("<I", raw[4:8])
+        text = json.dumps(edit(json.loads(raw[8 : 8 + length]))).encode("utf-8")
+        path.write_bytes(raw[:4] + struct.pack("<I", len(text)) + text + raw[8 + length :])
+
+    return rewrite

@@ -127,6 +127,44 @@ def test_corrupt_manifest_rejected(tmp_path, micro_state):
         load_checkpoint(str(path))
 
 
+def _edit_first_entry(**fields):
+    def edit(manifest):
+        manifest["tensors"][0].update(fields)
+        manifest["tensors"][0] = {k: v for k, v in manifest["tensors"][0].items() if v is not None}
+        return manifest
+
+    return edit
+
+
+def _negated_shape(manifest):
+    entry = next(e for e in manifest["tensors"] if len(e["shape"]) >= 2)
+    entry["shape"][:2] = [-entry["shape"][0], -entry["shape"][1]]  # same element count
+    return manifest
+
+
+MALFORMED_MANIFESTS = {
+    "no_byte_offset": _edit_first_entry(byte_offset=None),
+    "tensors_not_a_list": lambda manifest: {**manifest, "tensors": 5},
+    "shape_not_a_list": _edit_first_entry(shape="ab"),
+    "negative_dims": _negated_shape,
+    "bool_byte_offset": _edit_first_entry(byte_offset=False),
+    "name_not_a_string": _edit_first_entry(name=5),
+    "meta_not_an_object": lambda manifest: {**manifest, "meta": "x"},
+    "header_not_an_object": lambda manifest: " ".join(manifest),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
+def test_malformed_manifest_is_a_checkpoint_error(tmp_path, micro_state, rewrite_header, case):
+    cfg, params = micro_state
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(str(path), params, cfg)
+    rewrite_header(path, MALFORMED_MANIFESTS[case])
+    for read in (read_manifest, load_checkpoint):
+        with pytest.raises(CheckpointError, match=str(path)):
+            read(str(path))
+
+
 def test_manifest_offsets_sorted_and_relative(tmp_path, micro_state):
     cfg, params = micro_state
     path = tmp_path / "m.ckpt"

@@ -1,11 +1,14 @@
 import json
 import os
+import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from respox import cli, container
+from respox import __version__, cli, container
 from respox import train as train_mod
 from respox.checkpoint import load_checkpoint, save_checkpoint
 from respox.cli import main
@@ -275,6 +278,17 @@ def test_train_rejects_removed_config_keys(runner, data_dir, tmp_path, section, 
     assert f"unknown key {key!r}" in result.stderr
 
 
+def test_train_badly_typed_config_value_exits_2(runner, data_dir, tmp_path):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"model": {"rrelu_bounds": [0.1]}}))
+    result = runner.invoke(
+        main, ["train", "--config", str(cfg_path), "--data", str(data_dir), "--out", str(tmp_path / "b.ckpt")]
+    )
+    assert result.exit_code == 2, result.output
+    assert "error: bad value in config section 'model'" in result.stderr
+    assert isinstance(result.exception, SystemExit)
+
+
 # ---------------------------------------------------------------- gatemap
 
 
@@ -435,6 +449,40 @@ def test_eval_report_into_a_missing_directory_exits_2_before_any_forward(
     assert isinstance(result.exception, SystemExit)
     assert predict_calls == []
     assert os.listdir(tmp_path) == []
+
+
+def test_eval_badly_typed_record_header_exits_2(runner, data_dir, backbone_ckpt, tmp_path, rewrite_header):
+    bad_dir = tmp_path / "data"
+    shutil.copytree(data_dir, bad_dir)
+    bad = sorted(bad_dir.glob("*.rsp"))[0]
+    rewrite_header(bad, lambda header: {**header, "fb": "ten"})
+    result = runner.invoke(
+        main,
+        ["eval", "--ckpt", str(backbone_ckpt), "--data", str(bad_dir), "--report", str(tmp_path / "r.json")],
+    )
+    assert result.exit_code == 2, result.output
+    assert f"error: {bad}: header field 'fb' must be an integer" in result.stderr
+    assert isinstance(result.exception, SystemExit)
+
+
+def test_eval_refuses_a_gate_map_from_another_run(runner, data_dir, gated_artifacts, tmp_path, predict_calls):
+    ckpt, gate_path = gated_artifacts
+    payload = json.loads(gate_path.read_text())
+    payload["provenance"]["config_hash"] = "0" * 64
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(payload))
+    result = runner.invoke(
+        main,
+        [
+            "eval", "--ckpt", str(ckpt), "--data", str(data_dir), "--gate-map", str(other),
+            "--report", str(tmp_path / "r.json"),
+        ],
+    )
+    assert result.exit_code == 2, result.output
+    assert "error: gate map is from another run: it was derived under 000000000000..." in result.stderr
+    assert isinstance(result.exception, SystemExit)
+    assert predict_calls == []
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_eval_gate_map_must_fit_checkpoint(runner, data_dir, gated_artifacts, tmp_path):
@@ -613,6 +661,16 @@ def test_inspect_rejects_truncated_checkpoint(runner, backbone_ckpt, tmp_path):
     assert "cannot read checkpoint" in result.stderr
 
 
+def test_inspect_rejects_malformed_manifest(runner, backbone_ckpt, tmp_path, rewrite_header):
+    broken = tmp_path / "broken.ckpt"
+    shutil.copyfile(backbone_ckpt, broken)
+    rewrite_header(broken, lambda manifest: {**manifest, "tensors": [{"name": "x", "shape": [1]}]})
+    result = runner.invoke(main, ["inspect", "--ckpt", str(broken)])
+    assert result.exit_code == 2, result.output
+    assert "error: cannot read checkpoint" in result.stderr
+    assert isinstance(result.exception, SystemExit)
+
+
 # ---------------------------------------------------------------- misc
 
 
@@ -620,3 +678,13 @@ def test_version_flag(runner):
     result = runner.invoke(main, ["--version"])
     assert result.exit_code == 0
     assert "respox" in result.output
+
+
+def test_python_dash_m_respox_runs_the_cli():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-m", "respox", "--version"], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == f"respox, version {__version__}\n"

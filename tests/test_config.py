@@ -99,6 +99,15 @@ def test_removed_knobs_are_unknown_keys(payload):
         run_config_from_dict(payload)
 
 
+def test_badly_typed_values_are_config_errors():
+    for payload in ({"model": {"rrelu_bounds": [0.1]}}, {"model": {"encoder_channels": ["a"] * 9}}):
+        with pytest.raises(ConfigError, match="bad value in config section 'model'"):
+            run_config_from_dict(payload)
+    # a ConfigError from a section's own checks keeps its message
+    with pytest.raises(ConfigError, match="^rrelu bounds must satisfy"):
+        run_config_from_dict({"model": {"rrelu_bounds": [0.5, 0.25]}})
+
+
 def test_train_section_loss_weight_aliases():
     cfg = run_config_from_dict({"train": {"lambda": 0.5, "lambda_u": 2.0}})
     assert cfg.train.corr_weight == 0.5

@@ -10,6 +10,7 @@ from respox.data import (
     BadMagicError,
     LengthMismatchError,
     Record,
+    RecordError,
     RecordTooShortError,
     TruncatedRecordError,
     ValueRangeError,
@@ -98,6 +99,38 @@ def test_short_array_read_detected(tmp_path, monkeypatch):
     path.write_bytes(path.read_bytes()[:-7])
     monkeypatch.setattr(container, "check_body", lambda *args: None)
     with pytest.raises(TruncatedRecordError, match="stages truncated"):
+        read_record(str(path))
+
+
+@pytest.mark.parametrize(
+    "key, value, named",
+    [
+        ("fb", "ten", "fb"),
+        ("fb", None, "fb"),
+        ("fo", True, "fo"),
+        ("duration_s", 48.0, "duration_s"),
+        ("gender", True, "gender"),
+        ("vars", {"age": "x"}, "vars.age"),
+        ("vars", {"age": 61.5}, "vars.age"),
+        ("vars", {"age": False}, "vars.age"),
+        ("vars", [1], "vars"),
+    ],
+)
+def test_badly_typed_header_field_is_a_record_error_naming_it(tmp_path, rewrite_header, key, value, named):
+    path = tmp_path / "x.rsp"
+    write_record(make_record(), str(path))
+    rewrite_header(path, lambda header: {**header, key: value})
+    with pytest.raises(RecordError) as info:
+        read_record(str(path))
+    assert str(info.value).startswith(f"{path}: header field {named!r} must be ")
+
+
+def test_header_that_is_not_an_object_is_a_record_error(tmp_path, rewrite_header):
+    # a string holding every required key passes a bare `key in header` test
+    path = tmp_path / "x.rsp"
+    write_record(make_record(), str(path))
+    rewrite_header(path, lambda header: " ".join(header))
+    with pytest.raises(RecordError, match="header is not a JSON object"):
         read_record(str(path))
 
 

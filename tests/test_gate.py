@@ -10,7 +10,6 @@ from respox.gate import (
     build_gate_map,
     cosine_similarity,
     derive_gate_map,
-    gate_lookup,
     gate_map_from_dict,
     gate_map_to_dict,
     identity_gate_map,
@@ -149,15 +148,15 @@ def test_manual_map_rejects_bad_heads():
 def test_gate_lookup_vectorizes_table():
     gm = manual_gate_map({(0, 0): 1, (0, 1): 3, (0, 2): 2}, n_heads=3)
     u = np.array([0, 1, 1, 2, 0])
-    np.testing.assert_array_equal(gate_lookup(gm, 0, u), [1, 3, 3, 2, 1])
+    np.testing.assert_array_equal(gm.lookup(0, u), [1, 3, 3, 2, 1])
 
 
 def test_gate_lookup_missing_state_rejected():
     gm = manual_gate_map({(0, 0): 1})
     with pytest.raises(GateError):
-        gate_lookup(gm, 1, np.array([0]))
+        gm.lookup(1, np.array([0]))
     with pytest.raises(GateError):
-        gate_lookup(gm, 0, np.array([0, 2]))
+        gm.lookup(0, np.array([0, 2]))
 
 
 # ---------------------------------------------------------------- serialization

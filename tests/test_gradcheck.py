@@ -100,6 +100,6 @@ def test_kink_margin_observes_every_fused_block():
     cfg = tiny_model_config(scale="micro")
     x_np = np.random.default_rng(0).uniform(-1.0, 1.0, size=(1, cfg.fb * 48))
     params = model_mod.build_model(cfg, seed=0, dtype=np.float64)
-    assert _rrelu_kink_margin(model_mod, cfg, params, x_np) == 9.036052006775082e-07
-    best_seed, best_margin, _ = _kink_safe_draw(model_mod, cfg, 0, 48)
+    assert _rrelu_kink_margin(cfg, params, x_np) == 9.036052006775082e-07
+    best_seed, best_margin, _ = _kink_safe_draw(cfg, 0, 48)
     assert (best_seed, best_margin) == (25, 1.2033229271061334e-05)

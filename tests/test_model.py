@@ -1,4 +1,7 @@
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -8,7 +11,7 @@ from hypothesis import strategies as st
 
 from respox import model as model_mod
 from respox.config import ConfigError, ModelConfig, tiny_model_config
-from respox.gate import GateMap, gate_lookup, identity_gate_map
+from respox.gate import GateMap, identity_gate_map
 from respox.model import (
     SKIP_SOURCES,
     GateRangeError,
@@ -238,11 +241,44 @@ def test_gated_eval_equals_selecting_from_every_head_bitwise(gate, dtype):
     )
     u_hat = np.argmax(predict_inaccessible(params, cfg, features).data, axis=0)
     for v in (0, 1):
-        gate_series = gate_lookup(gate_map, v, u_hat)
+        gate_series = gate_map.lookup(v, u_hat)
         pred = forward(params, cfg, x, v=v, gate_map=gate_map, mode="eval")
         assert pred.y_hat.dtype == dtype
         np.testing.assert_array_equal(pred.gate_series, gate_series)
         np.testing.assert_array_equal(pred.y_hat.data, combine_heads(every_head, gate_series).data)
+
+
+# A gated eval forward given any table with a `lookup` method; model reaches
+# nothing of respox.gate on the way.
+GATED_FORWARD_WITHOUT_GATE = """
+import sys
+import numpy as np
+from respox import model
+from respox.config import tiny_model_config
+
+class HalfTable:
+    def lookup(self, v, u_series):
+        return np.where(np.asarray(u_series) == 0, 1, 2)
+
+cfg = tiny_model_config("micro", variant="gated", n_heads=2)
+params = model.build_model(cfg, seed=1)
+x = model.as_input(np.random.default_rng(2).normal(size=10 * 96), params)
+pred = model.forward(params, cfg, x, v=0, gate_map=HalfTable(), mode="eval")
+assert pred.y_hat.shape == (96,) and set(np.unique(pred.gate_series)) <= {1, 2}
+print(" ".join(sorted(name for name in sys.modules if name.startswith("respox"))))
+"""
+
+
+def test_gated_forward_needs_only_a_table_with_lookup_and_never_imports_gate():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c", GATED_FORWARD_WITHOUT_GATE], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    imported = result.stdout.split()
+    assert "respox.model" in imported
+    assert "respox.gate" not in imported
 
 
 @given(
