@@ -294,17 +294,7 @@ def eval_cmd(ckpt, config_path, data_dir, gate_map_path, split, group_by, dump_d
         if checkpoint.config.variant == "gated":
             if gate_map_path is None:
                 raise ConfigError("gated checkpoint requires --gate-map")
-            gate_map = load_gate_map(gate_map_path)
-            if gate_map.n_heads != checkpoint.config.n_heads:
-                raise ConfigError(
-                    f"gate map has {gate_map.n_heads} heads, checkpoint has {checkpoint.config.n_heads}"
-                )
-            made_by, trained_by = gate_map.provenance.get("config_hash"), checkpoint.meta.get("config_hash")
-            if made_by is not None and trained_by is not None and made_by != trained_by:
-                raise ConfigError(
-                    f"gate map is from another run: it was derived under {str(made_by)[:12]}..., "
-                    f"the checkpoint was trained under {str(trained_by)[:12]}..."
-                )
+            gate_map = load_gate_map(gate_map_path).check_fits(checkpoint.config, checkpoint.meta.get("config_hash"))
         records = _load_records(data_dir, cfg, cfg.eval.split)
     except (ConfigError, CheckpointError, GateError, RecordError) as exc:
         _fail(EXIT_USAGE, str(exc))

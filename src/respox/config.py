@@ -12,7 +12,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from .container import read_json
+from .container import dataclass_from_json, read_json
 
 ENCODER_DOWN_FACTOR = 240
 DECODER_UP_FACTOR = 24
@@ -221,21 +221,8 @@ _SECTION_TYPES = {
 
 
 def _section_from_dict(cls, section: str, payload: dict):
-    if not isinstance(payload, dict):
-        raise ConfigError(f"config section {section!r} must be an object")
-    fields = {f.name for f in dataclasses.fields(cls)}
-    kwargs = {}
-    for key, value in payload.items():
-        name = _TRAIN_KEY_ALIASES.get(key, key) if section == "train" else key
-        if name not in fields:
-            raise ConfigError(f"unknown key {key!r} in config section {section!r}")
-        kwargs[name] = value
-    try:
-        return cls(**kwargs)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ConfigError(f"bad value in config section {section!r}: {exc}") from exc
+    aliases = _TRAIN_KEY_ALIASES if section == "train" else None
+    return dataclass_from_json(cls, payload, ConfigError, f"config section {section!r}", aliases)
 
 
 def run_config_from_dict(payload: dict) -> RunConfig:

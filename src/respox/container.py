@@ -11,11 +11,14 @@ The format modules own the header keys and the arrays; this module owns the
 bytes around them.  Arrays are written straight from their buffers and read
 one at a time into preallocated arrays, so the file is never held whole.
 Every text artifact is written by `write_text` (JSON ones via `write_json`),
-and every JSON input is parsed by `read_json`, which raises the caller's error.
+every JSON input is parsed by `read_json`, which raises the caller's error,
+and every JSON object that fills a dataclass (a run-config section, a synth
+profile) is checked by `dataclass_from_json`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import struct
@@ -41,6 +44,35 @@ class Framing(NamedTuple):
 def is_json_int(value) -> bool:
     """A JSON integer as json.loads returns it: an int, and not a bool."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def dataclass_from_json(cls, payload, error: type, what: str, aliases: dict | None = None):
+    """Fill dataclass `cls` from a JSON object; every key must name a field (after `aliases`).
+
+    A field whose default is an int, or a tuple of ints, takes only JSON integers.  `error`
+    from cls's own checks passes through; other faults become `error` naming `what`.
+    """
+    if not isinstance(payload, dict):
+        raise error(f"{what} must be a JSON object")
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    kwargs = {}
+    for key, value in payload.items():
+        name = (aliases or {}).get(key, key)
+        if name not in defaults:
+            raise error(f"unknown key {key!r} in {what}")
+        if is_json_int(defaults[name]) and not is_json_int(value):
+            raise error(f"bad value in {what}: {key} must be an integer, got {value!r}")
+        if isinstance(defaults[name], tuple) and all(map(is_json_int, defaults[name])) and not (
+            isinstance(value, list) and all(map(is_json_int, value))
+        ):
+            raise error(f"bad value in {what}: {key} must be a list of integers, got {value!r}")
+        kwargs[name] = value
+    try:
+        return cls(**kwargs)
+    except error:
+        raise
+    except (TypeError, ValueError, IndexError) as exc:
+        raise error(f"bad value in {what}: {exc}") from exc
 
 
 def write(path, framing: Framing, header: dict, arrays) -> None:

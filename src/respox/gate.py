@@ -17,7 +17,7 @@ import numpy as np
 
 from . import model as model_mod
 from .config import ModelConfig
-from .container import read_json, write_json
+from .container import is_json_int, read_json, write_json
 from .data import accessible_state
 from .tensor import take
 
@@ -42,13 +42,28 @@ class GateMap:
     provenance: dict = field(default_factory=dict)
 
     def validate(self) -> "GateMap":
-        if self.n_heads < 1:
-            raise GateError(f"n_heads must be >= 1, got {self.n_heads}")
+        """Heads are integers in 1..n_heads; a float or a bool is not an integer."""
+        if not is_json_int(self.n_heads) or self.n_heads < 1:
+            raise GateError(f"n_heads must be an integer >= 1, got {self.n_heads!r}")
         for state, head in self.table.items():
             if not (isinstance(state, tuple) and len(state) == 2):
                 raise GateError(f"gate states are (v, u) pairs, got {state!r}")
-            if not 1 <= head <= self.n_heads:
-                raise GateError(f"state {state} maps to head {head}, outside 1..{self.n_heads}")
+            if not (is_json_int(head) and 1 <= head <= self.n_heads):
+                raise GateError(f"state {state} maps to head {head!r}, not an integer in 1..{self.n_heads}")
+        if not isinstance(self.provenance, dict):
+            raise GateError(f"provenance must be an object, got {self.provenance!r}")
+        return self
+
+    def check_fits(self, config: ModelConfig, trained_under: str | None = None) -> "GateMap":
+        """The map drives a model of `config`: the same head count, and no other run's config hash."""
+        if self.n_heads != config.n_heads:
+            raise GateError(f"gate map has {self.n_heads} heads, the model has {config.n_heads}")
+        made_under = self.provenance.get("config_hash")
+        if made_under is not None and trained_under is not None and made_under != trained_under:
+            raise GateError(
+                f"gate map is from another run: it was derived under {str(made_under)[:12]}..., "
+                f"the checkpoint was trained under {str(trained_under)[:12]}..."
+            )
         return self
 
     def lookup(self, v: int, u_series) -> np.ndarray:
@@ -195,18 +210,6 @@ def identity_gate_map(v_states: int, u_classes: int) -> GateMap:
     return GateMap(n_heads=len(space), table=table, provenance={"mode": "identity"}).validate()
 
 
-def manual_gate_map(table: dict, n_heads: int | None = None) -> GateMap:
-    try:
-        entries = {(int(v), int(u)): int(h) for (v, u), h in table.items()}
-    except (TypeError, ValueError) as exc:
-        raise GateError(f"bad manual gate table: {exc}") from exc
-    if not entries:
-        raise GateError("manual gate table is empty")
-    if n_heads is None:
-        n_heads = max(entries.values())
-    return GateMap(n_heads=n_heads, table=entries, provenance={"mode": "manual"}).validate()
-
-
 def populated_states(config: ModelConfig, records) -> list:
     """The (v, u) states of the config's space that some record carries, in order."""
     space = state_space(config.v_states, config.u_classes)
@@ -265,10 +268,7 @@ def derive_gate_map(
 
 
 def gate_map_to_dict(gate_map: GateMap) -> dict:
-    table = {
-        f"v={v},u={u}": int(head)
-        for (v, u), head in sorted(gate_map.table.items())
-    }
+    table = {f"v={v},u={u}": head for (v, u), head in sorted(gate_map.table.items())}
     return {"n_heads": gate_map.n_heads, "table": table, "provenance": gate_map.provenance}
 
 
@@ -282,15 +282,12 @@ def parse_state_key(key) -> tuple:
 
 
 def gate_map_from_dict(payload: dict) -> GateMap:
+    """The one parser of a {"n_heads": n, "table": {"v=…,u=…": head}, "provenance": {…}} gate map."""
     try:
-        n_heads = int(payload["n_heads"])
-        table = {parse_state_key(key): int(head) for key, head in payload["table"].items()}
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        table = {parse_state_key(key): head for key, head in payload["table"].items()}
+        return GateMap(n_heads=payload["n_heads"], table=table, provenance=payload.get("provenance", {})).validate()
+    except (AttributeError, KeyError, TypeError, GateError) as exc:
         raise GateError(f"bad gate-map payload: {exc}") from exc
-    provenance = payload.get("provenance", {})
-    if not isinstance(provenance, dict):
-        raise GateError(f"bad gate-map payload: provenance must be an object, got {provenance!r}")
-    return GateMap(n_heads=n_heads, table=table, provenance=provenance).validate()
 
 
 def save_gate_map(path, gate_map: GateMap) -> None:

@@ -16,10 +16,11 @@ profiles produce identical records.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .container import dataclass_from_json
 from .data import STAGE_MISSING, STAGE_NONREM, Record
 
 __all__ = [
@@ -80,6 +81,8 @@ class SynthProfile:
         return len(self.stage_probs)
 
     def validate(self) -> "SynthProfile":
+        if not len(self.bpm_range) == len(self.env_clip) == len(self.dwell_range_s) == 2:
+            raise SynthError("bpm_range, env_clip and dwell_range_s are [low, high] pairs")
         if self.nights < 1:
             raise SynthError(f"nights must be >= 1, got {self.nights}")
         if self.duration_s < 1:
@@ -120,16 +123,7 @@ def profile_to_dict(profile: SynthProfile) -> dict:
 
 
 def profile_from_dict(payload: dict) -> SynthProfile:
-    if not isinstance(payload, dict):
-        raise SynthError("profile root must be a JSON object")
-    known = {f.name for f in fields(SynthProfile)}
-    unknown = sorted(set(payload) - known)
-    if unknown:
-        raise SynthError(f"unknown profile keys: {unknown}")
-    try:
-        return SynthProfile(**payload).validate()
-    except TypeError as exc:
-        raise SynthError(f"bad profile payload: {exc}") from exc
+    return dataclass_from_json(SynthProfile, payload, SynthError, "profile").validate()
 
 
 def _stage_series(rng, profile: SynthProfile, t: int) -> np.ndarray:

@@ -28,9 +28,8 @@ from .gate import (
     GateMap,
     check_head_count,
     derive_gate_map,
+    gate_map_from_dict,
     identity_gate_map,
-    manual_gate_map,
-    parse_state_key,
     populated_states,
 )
 
@@ -298,12 +297,13 @@ def resolve_gate_map(
     records=None,
     corr_weight: float = 0.2,
 ) -> GateMap:
-    """Build the gate map named by `gate_cfg.mode`, sized to the model's head count."""
+    """Build the gate map named by `gate_cfg.mode`; it must fit the model's head count."""
     if gate_cfg.mode == "identity":
         gate_map = identity_gate_map(config.v_states, config.u_classes)
     elif gate_cfg.mode == "manual":
-        table = {parse_state_key(key): head for key, head in gate_cfg.manual_table.items()}
-        gate_map = manual_gate_map(table, n_heads=config.n_heads)
+        gate_map = gate_map_from_dict(
+            {"n_heads": config.n_heads, "table": gate_cfg.manual_table, "provenance": {"mode": "manual"}}
+        )
     elif gate_cfg.mode == "grad-sim":
         if backbone_params is None or records is None:
             raise ConfigError("gate mode 'grad-sim' requires a pretrained backbone and records")
@@ -312,11 +312,7 @@ def resolve_gate_map(
         )
     else:
         raise ConfigError(f"unknown gate mode {gate_cfg.mode!r}")
-    if gate_map.n_heads != config.n_heads:
-        raise ConfigError(
-            f"gate map has {gate_map.n_heads} heads, model expects {config.n_heads}"
-        )
-    return gate_map
+    return gate_map.check_fits(config)
 
 
 def train_gated_pipeline(

@@ -102,6 +102,21 @@ def test_synth_rejects_bad_profile(runner, tmp_path):
     assert "bad profile" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "profile",
+    [{"nights": 2.5}, {"dwell_range_s": [60]}, {"dwell_range_s": [60.5, 120]}, {"seed": True}],
+    ids=["fractional_nights", "one_dwell_bound", "fractional_dwell", "bool_seed"],
+)
+def test_synth_badly_typed_profile_exits_2(runner, tmp_path, profile):
+    bad = tmp_path / "profile.json"
+    bad.write_text(json.dumps(profile))
+    result = runner.invoke(main, ["synth", "--out", str(tmp_path / "d"), "--profile", str(bad)])
+    assert result.exit_code == 2, result.output
+    assert "error: bad profile: " in result.stderr
+    assert isinstance(result.exception, SystemExit)
+    assert not (tmp_path / "d").exists()
+
+
 # ---------------------------------------------------------------- JSON inputs
 
 
@@ -220,8 +235,9 @@ def test_train_gated_writes_gate_map(gated_artifacts):
         GateConfig(n_heads=7),
         GateConfig(n_heads=2, mode="manual", manual_table={"v0u0": 1}),
         GateConfig(n_heads=2, mode="manual", manual_table={"v=0,u=0": "one"}),
+        GateConfig(n_heads=2, mode="manual", manual_table={"v=0,u=0": 1.9}),
     ],
-    ids=["more_heads_than_states", "bad_manual_key", "bad_manual_head"],
+    ids=["more_heads_than_states", "bad_manual_key", "bad_manual_head", "fractional_manual_head"],
 )
 def test_train_gated_gate_failure_exits_1(runner, data_dir, tmp_path, gate, monkeypatch):
     cfg = _micro_run_config()
@@ -286,6 +302,28 @@ def test_train_badly_typed_config_value_exits_2(runner, data_dir, tmp_path):
     )
     assert result.exit_code == 2, result.output
     assert "error: bad value in config section 'model'" in result.stderr
+    assert isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"train": {"epochs": 2.5}},
+        {"train": {"seed": 1.5}},
+        {"data": {"split_seed": "x"}},
+        {"model": {"variant": "gated"}, "gate": {"n_heads": 2.5}},
+    ],
+    ids=["epochs", "seed", "split_seed", "gate_n_heads"],
+)
+def test_train_non_integer_config_value_exits_2(runner, data_dir, tmp_path, payload):
+    section = next(name for name in payload if name != "model")
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(payload))
+    result = runner.invoke(
+        main, ["train", "--config", str(cfg_path), "--data", str(data_dir), "--out", str(tmp_path / "b.ckpt")]
+    )
+    assert result.exit_code == 2, result.output
+    assert f"error: bad value in config section {section!r}" in result.stderr
     assert isinstance(result.exception, SystemExit)
 
 
@@ -480,6 +518,36 @@ def test_eval_refuses_a_gate_map_from_another_run(runner, data_dir, gated_artifa
     )
     assert result.exit_code == 2, result.output
     assert "error: gate map is from another run: it was derived under 000000000000..." in result.stderr
+    assert isinstance(result.exception, SystemExit)
+    assert predict_calls == []
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda payload: {**payload, "n_heads": 2.5},
+        lambda payload: {**payload, "table": {key: 1.9 for key in payload["table"]}},
+        lambda payload: {**payload, "table": {key: True for key in payload["table"]}},
+        lambda payload: {**payload, "table": {key: "1" for key in payload["table"]}},
+    ],
+    ids=["n_heads_2.5", "head_1.9", "head_true", "head_string"],
+)
+def test_eval_badly_typed_gate_map_exits_2_before_any_forward(
+    runner, data_dir, gated_artifacts, tmp_path, predict_calls, change
+):
+    ckpt, gate_path = gated_artifacts
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(change(json.loads(gate_path.read_text()))))
+    result = runner.invoke(
+        main,
+        [
+            "eval", "--ckpt", str(ckpt), "--data", str(data_dir), "--gate-map", str(bad),
+            "--report", str(tmp_path / "r.json"),
+        ],
+    )
+    assert result.exit_code == 2, result.output
+    assert "error: bad gate-map payload: " in result.stderr
     assert isinstance(result.exception, SystemExit)
     assert predict_calls == []
     assert not (tmp_path / "r.json").exists()

@@ -100,8 +100,18 @@ def test_removed_knobs_are_unknown_keys(payload):
 
 
 def test_badly_typed_values_are_config_errors():
-    for payload in ({"model": {"rrelu_bounds": [0.1]}}, {"model": {"encoder_channels": ["a"] * 9}}):
-        with pytest.raises(ConfigError, match="bad value in config section 'model'"):
+    for payload in (
+        {"model": {"rrelu_bounds": [0.1]}},
+        {"model": {"encoder_channels": ["a"] * 9}},
+        {"model": {"encoder_channels": [2.5] + [4] * 8}},
+        {"model": {"n_heads": True}},
+        {"train": {"epochs": 2.5}},
+        {"train": {"seed": 1.5}},
+        {"data": {"split_seed": "x"}},
+        {"gate": {"n_heads": 2.5}},
+    ):
+        section = next(iter(payload))
+        with pytest.raises(ConfigError, match=f"bad value in config section '{section}'"):
             run_config_from_dict(payload)
     # a ConfigError from a section's own checks keeps its message
     with pytest.raises(ConfigError, match="^rrelu bounds must satisfy"):

@@ -25,7 +25,7 @@ from respox.evaluate import (
     segment,
 )
 from respox.container import write_json
-from respox.gate import identity_gate_map, manual_gate_map
+from respox.gate import GateMap, identity_gate_map
 from respox.model import build_model
 from respox.config import tiny_model_config
 
@@ -318,7 +318,7 @@ def test_dump_gated_records_gate_status(tmp_path, micro_records):
     cfg = tiny_model_config("micro", variant="gated", n_heads=2)
     params = build_model(cfg, seed=0)
     space = {(v, u): 1 + (u % 2) for v in range(cfg.v_states) for u in range(cfg.u_classes)}
-    gate_map = manual_gate_map(space, n_heads=2)
+    gate_map = GateMap(n_heads=2, table=space).validate()
     path = tmp_path / "gated.tsv"
     record = micro_records[0]
     y_hat, pred = predict_record(params, cfg, record, gate_map)

@@ -3,6 +3,7 @@ import logging
 import numpy as np
 import pytest
 
+from respox.config import ConfigError, GateConfig, tiny_model_config
 from respox.gate import (
     GateError,
     GateMap,
@@ -14,7 +15,6 @@ from respox.gate import (
     gate_map_to_dict,
     identity_gate_map,
     load_gate_map,
-    manual_gate_map,
     parse_state_key,
     save_gate_map,
     state_gradient,
@@ -127,32 +127,27 @@ def test_identity_map_enumerates_state_space():
     }
 
 
-def test_manual_map_infers_head_count():
-    gm = manual_gate_map({(0, 0): 1, (0, 1): 2, (1, 0): 2, (1, 1): 1})
-    assert gm.n_heads == 2
-    assert gm.table[(1, 0)] == 2
-
-
 def test_manual_map_rejects_bad_heads():
     with pytest.raises(GateError):
-        manual_gate_map({(0, 0): 0})
+        GateMap(n_heads=1, table={(0, 0): 0}).validate()
     with pytest.raises(GateError):
-        manual_gate_map({(0, 0): 3}, n_heads=2)
-    with pytest.raises(GateError):
-        manual_gate_map({})
+        GateMap(n_heads=2, table={(0, 0): 3}).validate()
+    # an empty manual table is refused by the run config, before any map is built
+    with pytest.raises(ConfigError, match="requires manual_table"):
+        GateConfig(n_heads=1, mode="manual", manual_table={})
 
 
 # ---------------------------------------------------------------- lookup
 
 
 def test_gate_lookup_vectorizes_table():
-    gm = manual_gate_map({(0, 0): 1, (0, 1): 3, (0, 2): 2}, n_heads=3)
+    gm = GateMap(n_heads=3, table={(0, 0): 1, (0, 1): 3, (0, 2): 2}).validate()
     u = np.array([0, 1, 1, 2, 0])
     np.testing.assert_array_equal(gm.lookup(0, u), [1, 3, 3, 2, 1])
 
 
 def test_gate_lookup_missing_state_rejected():
-    gm = manual_gate_map({(0, 0): 1})
+    gm = GateMap(n_heads=1, table={(0, 0): 1}).validate()
     with pytest.raises(GateError):
         gm.lookup(1, np.array([0]))
     with pytest.raises(GateError):
@@ -163,7 +158,7 @@ def test_gate_lookup_missing_state_rejected():
 
 
 def test_json_roundtrip(tmp_path):
-    gm = manual_gate_map({(0, 0): 1, (0, 1): 2, (1, 2): 2})
+    gm = gate_map_from_dict({"n_heads": 2, "table": {"v=0,u=0": 1, "v=0,u=1": 2, "v=1,u=2": 2}})
     gm.provenance["note"] = "hand built"
     path = tmp_path / "gate.json"
     save_gate_map(str(path), gm)
@@ -196,10 +191,40 @@ def test_load_rejects_bad_payloads(tmp_path):
         gate_map_from_dict({"n_heads": 1, "table": {"nonsense": 1}})
 
 
-@pytest.mark.parametrize("table", [{"v=0,u=0": "x"}, {"v=0,u=0": None}, [["v=0,u=0", 1]]])
+@pytest.mark.parametrize(
+    "table",
+    [
+        {"v=0,u=0": "x"},
+        {"v=0,u=0": None},
+        [["v=0,u=0", 1]],
+        {"v=0,u=0": 1.9},
+        {"v=0,u=0": True},
+        {"v=0,u=0": "1"},
+        {"v=0,u=0": 1.0},
+    ],
+)
 def test_load_rejects_bad_table_values(table):
     with pytest.raises(GateError, match="bad gate-map payload"):
         gate_map_from_dict({"n_heads": 1, "table": table})
+
+
+@pytest.mark.parametrize("n_heads", [2.5, 2.0, True, "2"])
+def test_n_heads_must_be_a_json_integer_not_truncated(n_heads):
+    with pytest.raises(GateError, match="bad gate-map payload: n_heads must be an integer"):
+        gate_map_from_dict({"n_heads": n_heads, "table": {"v=0,u=0": 1}})
+
+
+def test_check_fits_compares_head_count_and_config_hash():
+    gm = GateMap(n_heads=2, table={(0, 0): 1, (0, 1): 2}, provenance={"config_hash": "a" * 64}).validate()
+    model = tiny_model_config("micro", variant="gated", n_heads=2)
+    assert gm.check_fits(model, "a" * 64) is gm
+    assert gm.check_fits(model) is gm  # no checkpoint hash: nothing to compare
+    with pytest.raises(GateError, match="gate map has 2 heads, the model has 3"):
+        gm.check_fits(tiny_model_config("micro", variant="gated", n_heads=3))
+    with pytest.raises(GateError, match="gate map is from another run: it was derived under aaaaaaaaaaaa"):
+        gm.check_fits(model, "b" * 64)
+    del gm.provenance["config_hash"]
+    assert gm.check_fits(model, "b" * 64) is gm
 
 
 # ---------------------------------------------------------------- derivation
