@@ -12,7 +12,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from .container import dataclass_from_json, read_json
+from .container import dataclass_from_json, int_entries, read_json
 
 ENCODER_DOWN_FACTOR = 240
 DECODER_UP_FACTOR = 24
@@ -58,10 +58,8 @@ class ModelConfig:
     variant: str = "backbone"
 
     def __post_init__(self):
-        self.encoder_channels = tuple(int(c) for c in self.encoder_channels)
-        self.encoder_strides = tuple(int(s) for s in self.encoder_strides)
-        self.decoder_channels = tuple(int(c) for c in self.decoder_channels)
-        self.decoder_strides = tuple(int(s) for s in self.decoder_strides)
+        for name in ("encoder_channels", "encoder_strides", "decoder_channels", "decoder_strides"):
+            setattr(self, name, int_entries(getattr(self, name), ConfigError, name))
         self.rrelu_bounds = (float(self.rrelu_bounds[0]), float(self.rrelu_bounds[1]))
         self.validate()
 

@@ -46,6 +46,15 @@ def is_json_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def int_entries(values, error: type, what: str) -> tuple:
+    """`values` as a tuple of ints.  An entry that is not an integer (a bool, or a float even
+    when whole) is `error` naming `what`, never truncated; numpy integers count."""
+    entries = tuple(values)
+    if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in entries):
+        raise error(f"{what} entries must be integers, got {entries!r}")
+    return tuple(map(int, entries))
+
+
 def dataclass_from_json(cls, payload, error: type, what: str, aliases: dict | None = None):
     """Fill dataclass `cls` from a JSON object; every key must name a field (after `aliases`).
 

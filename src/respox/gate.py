@@ -273,12 +273,15 @@ def gate_map_to_dict(gate_map: GateMap) -> dict:
 
 
 def parse_state_key(key) -> tuple:
-    """The (v, u) state of a "v=…,u=…" gate-table key."""
+    """The (v, u) state of a gate-table key, in the one form gate_map_to_dict writes, "v={v},u={u}"."""
     try:
         v_part, u_part = key.split(",")
-        return int(v_part.removeprefix("v=")), int(u_part.removeprefix("u="))
+        state = int(v_part.removeprefix("v=")), int(u_part.removeprefix("u="))
     except (AttributeError, ValueError) as exc:
         raise GateError(f"bad gate-table key {key!r}") from exc
+    if key != "v={},u={}".format(*state):  # one key per state: no zero padding, spaces or signs
+        raise GateError(f"bad gate-table key {key!r}")
+    return state
 
 
 def gate_map_from_dict(payload: dict) -> GateMap:

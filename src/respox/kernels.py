@@ -129,14 +129,16 @@ def _gather(x: np.ndarray, w: np.ndarray, stride: int, padding: int, out_len: in
     channels can round a block's columns differently (OpenBLAS's
     small-matrix and gemv paths).  The model's 1x1 projections to one or
     three channels are such GEMMs; their im2col matrix is no larger than x,
-    so they run as one GEMM.  In float64, dgemm rounds the columns past its
-    last full tile by their place in the GEMM.
+    so they run as one GEMM.  So does an output of one block, whose GEMM is
+    the block's own on the same operands, without the buffer.  In float64,
+    dgemm rounds the columns past its last full tile by their place in the
+    GEMM.
     """
     c_out, c_in, k = w.shape
     windows = _windows(x, k, stride, padding, out_len)
     taps = w.reshape(c_out, c_in * k)
-    if k == 1:  # the im2col matrix is no larger than x: nothing to save by tiling
-        return taps @ windows.reshape(c_in, out_len)
+    if k == 1 or out_len <= SCATTER_COLUMNS:  # the im2col matrix is no larger than x, or one block
+        return taps @ windows.reshape(c_in * k, out_len)
     out = np.empty((c_out, out_len), dtype=np.result_type(x, w))
     starts, width = _column_blocks(out_len)
     buf = np.empty(c_in * k * width, dtype=x.dtype)

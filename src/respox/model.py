@@ -26,6 +26,7 @@ import numpy as np
 
 from . import kernels
 from .config import (
+    DECODER_UP_FACTOR,
     ENCODER_DOWN_FACTOR,
     ConfigError,
     ModelConfig,
@@ -37,6 +38,7 @@ from .tensor import (
     as_tensor,
     concat,
     log_softmax,
+    no_grad,
 )
 
 CORR_EPS = 1e-8
@@ -336,12 +338,12 @@ def forward(
 ) -> Prediction:
     """Full forward pass for any variant.
 
-    Gated models pick each second's head from a gate map.  In train mode
-    every decoder head runs, then the stage head, so the stage head's rrelu
-    draws never perturb the shared modules' sample stream; the gate reads
-    the stage labels u (missing labels fall back to the non-REM entry).
-    Eval mode draws nothing, so the stage head runs first, the gate reads
-    its argmax, and only the heads that gate selects are decoded.
+    Gated models fix each second's head from a gate map before any head
+    is decoded: train mode reads the stage labels u (missing ones map to
+    non-REM), eval mode the argmax of the stage head, which runs first.
+    Heads 1..N then run in order, with a graph where the gate reaches them.
+    In train mode an unreached head runs without one, keeping its rrelu
+    draws and running statistics, and the stage head runs last.
     """
     if config.variant == "varaug" and v is None:
         raise ConfigError("varaug forward requires the accessible state v")
@@ -354,36 +356,34 @@ def forward(
             raise ConfigError("gated train-mode forward requires ground-truth stages u")
 
     features, skips = encode(params, config, x, mode=mode, rng=rng)
-
-    def decode(heads) -> Tensor:
-        rows = [
-            decode_head(params, config, h, features, skips, mode=mode, rng=rng).reshape(1, -1)
-            for h in heads
-        ]
-        return rows[0] if len(rows) == 1 else concat(rows, axis=0)
-
-    def stage_logits() -> Tensor:
-        return predict_inaccessible(params, config, features, mode=mode, rng=rng)
-
     if config.variant != "gated":
         y_hat = decode_head(params, config, 1, features, skips, mode=mode, rng=rng)
-        return Prediction(y_hat=y_hat, u_logits=stage_logits() if has_stage_head(config) else None)
+        u_logits = predict_inaccessible(params, config, features, mode=mode, rng=rng) if has_stage_head(config) else None
+        return Prediction(y_hat=y_hat, u_logits=u_logits)
 
     if mode == "train":
-        per_head = decode(range(1, config.n_heads + 1))
-        u_logits = stage_logits()
-        t_out = per_head.shape[1]
+        t_out = features.shape[1] * DECODER_UP_FACTOR
         u_gate = np.asarray(u)
         if u_gate.shape != (t_out,):
             raise ShapeError(f"stage series must have shape ({t_out},), got {u_gate.shape}")
         u_gate = np.where(u_gate == STAGE_MISSING, min(STAGE_NONREM, config.u_classes - 1), u_gate)
-        gate_series = gate_map.lookup(v, u_gate)
-        y_hat = combine_heads(per_head, gate_series)
     else:
-        u_logits = stage_logits()
-        gate_series = gate_map.lookup(v, np.argmax(u_logits.data, axis=0))
-        heads = np.unique(gate_series)
-        y_hat = combine_heads(decode(heads), np.searchsorted(heads, gate_series) + 1)
+        u_logits = predict_inaccessible(params, config, features, mode=mode, rng=rng)
+        u_gate = np.argmax(u_logits.data, axis=0)
+    gate_series = gate_map.lookup(v, u_gate)
+    heads = np.unique(gate_series)
+    if heads[0] < 1 or heads[-1] > config.n_heads:
+        raise GateRangeError(f"gate status outside 1..{config.n_heads}: range [{heads[0]}, {heads[-1]}]")
+    rows = []
+    for h in range(1, config.n_heads + 1):
+        if h in heads:
+            rows.append(decode_head(params, config, h, features, skips, mode=mode, rng=rng).reshape(1, -1))
+        elif mode == "train":
+            with no_grad():
+                decode_head(params, config, h, features, skips, mode=mode, rng=rng)
+    if mode == "train":
+        u_logits = predict_inaccessible(params, config, features, mode=mode, rng=rng)
+    y_hat = combine_heads(rows[0] if len(rows) == 1 else concat(rows, axis=0), np.searchsorted(heads, gate_series) + 1)
     return Prediction(y_hat=y_hat, u_logits=u_logits, gate_series=gate_series)
 
 

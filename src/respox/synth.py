@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .container import dataclass_from_json
+from .container import dataclass_from_json, int_entries
 from .data import STAGE_MISSING, STAGE_NONREM, Record
 
 __all__ = [
@@ -74,7 +74,7 @@ class SynthProfile:
         self.offsets = _pairs(self.offsets)
         self.slopes = _pairs(self.slopes)
         self.stage_probs = tuple(float(x) for x in self.stage_probs)
-        self.dwell_range_s = tuple(int(x) for x in self.dwell_range_s)
+        self.dwell_range_s = int_entries(self.dwell_range_s, SynthError, "dwell_range_s")
 
     @property
     def n_stages(self) -> int:

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from respox.config import (
@@ -116,6 +117,19 @@ def test_badly_typed_values_are_config_errors():
     # a ConfigError from a section's own checks keeps its message
     with pytest.raises(ConfigError, match="^rrelu bounds must satisfy"):
         run_config_from_dict({"model": {"rrelu_bounds": [0.5, 0.25]}})
+
+
+def test_python_caller_tuple_entries_must_be_integers_not_truncated():
+    channels = ModelConfig().encoder_channels
+    for bad in (32.9, 32.0, True):
+        with pytest.raises(ConfigError, match="encoder_channels entries must be integers"):
+            ModelConfig(encoder_channels=(bad,) + channels[1:])
+    with pytest.raises(ConfigError, match="decoder_strides entries must be integers"):
+        ModelConfig(decoder_strides=(3.0, 2, 2, 2, 1, 1, 1))
+    # numpy integers are integers, and the config hash is that of the plain ints
+    cfg = ModelConfig(encoder_channels=tuple(np.array(channels, dtype=np.int64)))
+    assert type(cfg.encoder_channels[0]) is int
+    assert config_hash(RunConfig(model=cfg)) == config_hash(RunConfig())
 
 
 def test_train_section_loss_weight_aliases():

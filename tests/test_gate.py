@@ -172,7 +172,7 @@ def test_json_roundtrip(tmp_path):
 
 def test_state_key_parser():
     assert parse_state_key("v=1,u=2") == (1, 2)
-    for bad in ("v0u0", "v=1", "v=a,u=0", 3):
+    for bad in ("v0u0", "v=1", "v=a,u=0", 3, "v=00,u=0", "v= 1,u=+1", "v=0,u=-0"):
         with pytest.raises(GateError, match="bad gate-table key"):
             parse_state_key(bad)
 

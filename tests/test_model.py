@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from respox import model as model_mod
 from respox.config import ConfigError, ModelConfig, tiny_model_config
-from respox.gate import GateMap, identity_gate_map
+from respox.data import STAGE_MISSING, STAGE_NONREM
+from respox.gate import GateError, GateMap, identity_gate_map
 from respox.model import (
     SKIP_SOURCES,
     GateRangeError,
@@ -29,7 +30,7 @@ from respox.model import (
     predict_inaccessible,
     stage_ce_sum,
 )
-from respox.tensor import Tensor, _toposort
+from respox.tensor import Tensor, _toposort, concat
 
 
 def breathing(duration_s, seed=0):
@@ -225,6 +226,83 @@ def test_gated_eval_decodes_only_the_gated_heads_and_train_decodes_all(gate, dec
     u = np.arange(duration) % cfg.u_classes
     forward(params, cfg, x, v=0, u=u, gate_map=gate_map, mode="train", rng=np.random.default_rng(0))
     assert decoded_heads == list(range(1, cfg.n_heads + 1))
+
+
+def gated_train_reference(params, cfg, x, v, u, gate_map, rng):
+    """A gated train forward that decodes every head with a graph and masks out the unreached ones."""
+    features, skips = encode(params, cfg, x, mode="train", rng=rng)
+    rows = [
+        decode_head(params, cfg, h, features, skips, mode="train", rng=rng).reshape(1, -1)
+        for h in range(1, cfg.n_heads + 1)
+    ]
+    u_logits = predict_inaccessible(params, cfg, features, mode="train", rng=rng)
+    gate_series = gate_map.lookup(v, np.where(u == STAGE_MISSING, STAGE_NONREM, u))
+    return combine_heads(concat(rows, axis=0), gate_series), u_logits, gate_series
+
+
+def stage_series(duration, u_classes):
+    u = np.arange(duration) % u_classes
+    u[::7] = STAGE_MISSING
+    return u
+
+
+@pytest.mark.parametrize("gate", sorted(GATE_MAPS))
+def test_gated_train_equals_decoding_every_head_with_a_graph_bitwise(gate):
+    gate_map = GATE_MAPS[gate]()
+    cfg = tiny_model_config("micro", variant="gated", n_heads=gate_map.n_heads)
+    duration = 96
+    u = stage_series(duration, cfg.u_classes)
+    y = np.linspace(0.9, 1.0, duration)
+    for v in (0, 1):
+        params, ref = build_model(cfg, seed=3), build_model(cfg, seed=3)
+        x = as_input(breathing(duration, seed=4), params)
+        pred = forward(params, cfg, x, v=v, u=u, gate_map=gate_map, mode="train", rng=np.random.default_rng(5))
+        y_ref, u_ref, gate_ref = gated_train_reference(ref, cfg, x, v, u, gate_map, np.random.default_rng(5))
+        np.testing.assert_array_equal(pred.gate_series, gate_ref)
+        assert pred.y_hat.data.tobytes() == y_ref.data.tobytes()
+        assert pred.u_logits.data.tobytes() == u_ref.data.tobytes()
+        loss(pred.y_hat, y, 0.2, pred.u_logits, u, aux_weight=0.5)[0].backward()
+        loss(y_ref, y, 0.2, u_ref, u, aux_weight=0.5)[0].backward()
+        reached = {f"head{h}." for h in np.unique(gate_ref)}
+        for name, tensor in params.items():
+            if not tensor.requires_grad:
+                assert tensor.data.tobytes() == ref[name].data.tobytes(), name  # running statistics
+            elif name.startswith("head") and not name.startswith(tuple(reached)):
+                assert tensor.grad is None and not np.any(ref[name].grad), name
+            else:
+                assert tensor.grad.tobytes() == ref[name].grad.tobytes(), name
+
+
+def test_gated_train_with_an_unmapped_state_fails_before_any_head(decoded_heads):
+    cfg = tiny_model_config("micro", variant="gated", n_heads=2)
+    params = build_model(cfg, seed=0)
+    x = as_input(breathing(48), params)
+    gate_map = GateMap(n_heads=2, table={(0, 0): 1, (0, 2): 2})
+    with pytest.raises(GateError, match=r"no entry for \(v=0, u=1\)"):
+        forward(params, cfg, x, v=0, u=np.arange(48) % 3, gate_map=gate_map, mode="train", rng=np.random.default_rng(0))
+    assert decoded_heads == []
+
+
+def test_gated_train_builds_graph_nodes_only_for_the_heads_the_gate_reaches(monkeypatch):
+    """Every head still runs, in order; only the heads the gate reaches return a graph node."""
+    graphs = []
+    real = model_mod.decode_head
+
+    def recording(params, config, head, *args, **kwargs):
+        out = real(params, config, head, *args, **kwargs)
+        graphs.append((head, out._grad_fn is not None))
+        return out
+
+    monkeypatch.setattr(model_mod, "decode_head", recording)
+    gate_map = identity_gate_map(2, 3)
+    cfg = tiny_model_config("micro", variant="gated", n_heads=gate_map.n_heads)
+    params = build_model(cfg, seed=0)
+    duration = 240
+    x = as_input(breathing(duration), params)
+    u = np.arange(duration) % 2  # awake and REM: two of the gender's three heads
+    pred = forward(params, cfg, x, v=1, u=u, gate_map=gate_map, mode="train", rng=np.random.default_rng(0))
+    assert np.unique(pred.gate_series).tolist() == [4, 5]
+    assert graphs == [(h, h in (4, 5)) for h in range(1, 7)]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -86,6 +86,10 @@ def test_profile_validation():
         SynthProfile(nights=0).validate()
     with pytest.raises(SynthError):
         SynthProfile(missing_rate=1.5).validate()
+    for bad in ((60.5, 600), (60.0, 600), (True, 600)):
+        with pytest.raises(SynthError, match="dwell_range_s entries must be integers"):
+            SynthProfile(dwell_range_s=bad)
+    assert SynthProfile(dwell_range_s=(np.int32(60), 600)).dwell_range_s == (60, 600)
 
 
 def test_paired_stage_profile_has_two_stages_and_contrast():
