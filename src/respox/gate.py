@@ -55,9 +55,18 @@ class GateMap:
         return self
 
     def check_fits(self, config: ModelConfig, trained_under: str | None = None) -> "GateMap":
-        """The map drives a model of `config`: the same head count, and no other run's config hash."""
+        """The map drives a model of `config`: the same head count, a table over exactly
+        its (v, u) state space, and no other run's config hash."""
         if self.n_heads != config.n_heads:
             raise GateError(f"gate map has {self.n_heads} heads, the model has {config.n_heads}")
+        space = set(state_space(config.v_states, config.u_classes))
+        lacking, outside = space - self.table.keys(), self.table.keys() - space
+        for states, relation in ((lacking, "lacks states of"), (outside, "has states outside")):
+            if states:
+                keys = " ".join(f"v={v},u={u}" for v, u in sorted(states))
+                raise GateError(
+                    f"gate table {relation} the model's {config.v_states} x {config.u_classes} state space: {keys}"
+                )
         made_under = self.provenance.get("config_hash")
         if made_under is not None and trained_under is not None and made_under != trained_under:
             raise GateError(

@@ -32,25 +32,18 @@ the forward's operations anything larger than the input:
 
 conv1d, conv_transpose1d, batch_norm1d and rrelu are the references the fused
 block is checked against; the decoders' 1x1 projections use conv1d.
+
+The array numerics these kernels run live here too: _centre (np.mean and
+np.var bit for bit, under batch and layer norm), the layer norm's forward
+and backward, and the tanh-approximated GELU.  From tensor.py this module
+takes only Tensor, ShapeError and the graph hooks _from_op and _builds_graph.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import (
-    ShapeError,
-    Tensor,
-    _builds_graph,
-    _centre,
-    _from_op,
-    _gelu_slope,
-    _gelu_tanh,
-    _gelu_value,
-    _layer_norm_backward,
-    _layer_norm_forward,
-    _unnormalize_grad,
-)
+from .tensor import ShapeError, Tensor, _builds_graph, _from_op
 
 __all__ = [
     "conv1d",
@@ -278,6 +271,33 @@ def conv_transpose1d(
     return _conv(x, weight, bias, stride, padding, output_padding, transposed=True)
 
 
+def _mean_last(a: np.ndarray) -> np.ndarray:
+    """a.mean(axis=-1, keepdims=True) bit for bit, the two ufunc calls np.mean makes."""
+    total = np.add.reduce(a, axis=-1, keepdims=True)
+    return np.true_divide(total, np.intp(a.shape[-1]), out=total, casting="unsafe")
+
+
+def _centre(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a - mean, mean, biased variance) over the last axis, keepdims.
+
+    One mean serves all three; mean and variance equal np.mean and np.var
+    bit for bit.
+    """
+    mean = _mean_last(a)
+    centred = a - mean
+    return centred, mean, _mean_last(np.square(centred))
+
+
+def _unnormalize_grad(dxhat: np.ndarray, xhat: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """Gradient through xhat = (x - mean) * inv, statistics over the last axis.
+
+    Upstream gradients arrive in any memory layout, and the layout numpy
+    picks for each temporary decides the summation order of later
+    reductions, so this keeps the one expression rather than working in place.
+    """
+    return inv * (dxhat - _mean_last(dxhat) - xhat * _mean_last(dxhat * xhat))
+
+
 def _check_batch_norm(shape, gamma, beta, running_mean, running_var, mode) -> None:
     if mode not in ("train", "eval"):
         raise ShapeError(f"batch_norm1d mode must be train or eval, got {mode!r}")
@@ -469,6 +489,41 @@ def attention_param_shapes(d: int, n_heads: int, d_ff: int) -> dict[str, tuple[i
         "ff1_w": (d, d_ff), "ff1_b": (d_ff,), "ff2_w": (d_ff, d), "ff2_b": (d,),
         "ln2_g": (d,), "ln2_b": (d,),
     }
+
+
+_GELU_C = 0.7978845608028654  # sqrt(2 / pi)
+_GELU_A = 0.044715
+
+
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    return np.tanh(_GELU_C * (x + _GELU_A * x * x * x))
+
+
+def _gelu_value(x: np.ndarray, th: np.ndarray) -> np.ndarray:
+    return 0.5 * x * (1.0 + th)
+
+
+def _gelu_slope(x: np.ndarray, th: np.ndarray) -> np.ndarray:
+    du = _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
+    return 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * du
+
+
+def _layer_norm_forward(xd, gd, bd, eps: float):
+    """(gamma * xhat + beta, xhat, inv) with xhat = (x - mean) * inv over the last axis."""
+    xhat, _, var = _centre(xd)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat *= inv
+    out = xhat * gd
+    out += bd
+    return out, xhat, inv
+
+
+def _layer_norm_backward(g, gd, xhat, inv):
+    """(gx, ggamma, gbeta) of _layer_norm_forward."""
+    d = xhat.shape[-1]
+    ggamma = (g * xhat).reshape(-1, d).sum(axis=0)
+    gbeta = g.reshape(-1, d).sum(axis=0)
+    return _unnormalize_grad(g * gd, xhat, inv), ggamma, gbeta
 
 
 def _affine(a: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -8,6 +8,14 @@ a scalar walks the graph once in reverse topological order.
 Operand rule for + - * /: a Python number or numpy array beside a Tensor
 joins as a constant in that tensor's dtype (as_tensor): a leaf that takes
 no gradient.  Two tensors must share one dtype.
+
+This module holds the graph (Tensor, backward, no_grad, and the _from_op
+and _builds_graph hooks every op goes through) and the small ops the model
+differentiates outside its layers: arithmetic, reductions, reshaping,
+slicing and the stage loss's log_softmax.  The network's layers and the
+array numerics they run (batch and layer norm statistics, GELU) live in
+kernels.py; Tensor-level matmul, softmax, tanh, gelu and layer_norm exist
+only as test references, in tests/reference_ops.py.
 """
 
 from __future__ import annotations
@@ -132,9 +140,6 @@ class Tensor:
 
     def __neg__(self):
         return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         return tsum(self, axis=axis, keepdims=keepdims)
@@ -299,11 +304,6 @@ def tsqrt(a: Tensor) -> Tensor:
     return _from_op(out, (a,), lambda g: (g * (0.5 / out),))
 
 
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.data)
-    return _from_op(out, (a,), lambda g: (g * (1.0 - out * out),))
-
-
 # ---- reductions ----
 
 
@@ -345,26 +345,7 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _from_op(np.asarray(data), (a,), grad_fn)
 
 
-# ---- linear algebra / structure ----
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if not (isinstance(a, Tensor) and isinstance(b, Tensor)):
-        raise ShapeError("matmul expects two tensors")
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul is 2-D only, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-    _check_same_dtype(a, b)
-    ad, bd = a.data, b.data
-    data = ad @ bd
-
-    def grad_fn(g):
-        ga = g @ bd.T if a.requires_grad else None
-        gb = ad.T @ g if b.requires_grad else None
-        return ga, gb
-
-    return _from_op(data, (a, b), grad_fn)
+# ---- structure ----
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -431,24 +412,7 @@ def take(a: Tensor, indices: np.ndarray, axis: int = 0) -> Tensor:
     return _from_op(data, (a,), grad_fn)
 
 
-# ---- smooth nonlinearities ----
-#
-# The array-level halves of gelu and layer_norm are shared with the fused
-# attention kernel (kernels.multi_head_self_attention), so both run the same
-# numpy operations in the same order.
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    x = a.data
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def grad_fn(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - inner),)
-
-    return _from_op(out, (a,), grad_fn)
+# ---- losses ----
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -462,84 +426,3 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
         return (g - soft * g.sum(axis=axis, keepdims=True),)
 
     return _from_op(out, (a,), grad_fn)
-
-
-_GELU_C = 0.7978845608028654  # sqrt(2 / pi)
-_GELU_A = 0.044715
-
-
-def _gelu_tanh(x: np.ndarray) -> np.ndarray:
-    return np.tanh(_GELU_C * (x + _GELU_A * x * x * x))
-
-
-def _gelu_value(x: np.ndarray, th: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + th)
-
-
-def _gelu_slope(x: np.ndarray, th: np.ndarray) -> np.ndarray:
-    du = _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
-    return 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * du
-
-
-def gelu(a: Tensor) -> Tensor:
-    x = a.data
-    th = _gelu_tanh(x)
-    return _from_op(_gelu_value(x, th), (a,), lambda g: (g * _gelu_slope(x, th),))
-
-
-def _mean_last(a: np.ndarray) -> np.ndarray:
-    """a.mean(axis=-1, keepdims=True) bit for bit, the two ufunc calls np.mean makes."""
-    total = np.add.reduce(a, axis=-1, keepdims=True)
-    return np.true_divide(total, np.intp(a.shape[-1]), out=total, casting="unsafe")
-
-
-def _centre(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(a - mean, mean, biased variance) over the last axis, keepdims.
-
-    One mean serves all three; mean and variance equal np.mean and np.var
-    bit for bit.
-    """
-    mean = _mean_last(a)
-    centred = a - mean
-    return centred, mean, _mean_last(np.square(centred))
-
-
-def _unnormalize_grad(dxhat: np.ndarray, xhat: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    """Gradient through xhat = (x - mean) * inv, statistics over the last axis.
-
-    Upstream gradients arrive in any memory layout, and the layout numpy
-    picks for each temporary decides the summation order of later
-    reductions, so this keeps the one expression rather than working in place.
-    """
-    return inv * (dxhat - _mean_last(dxhat) - xhat * _mean_last(dxhat * xhat))
-
-
-def _layer_norm_forward(xd, gd, bd, eps: float):
-    """(gamma * xhat + beta, xhat, inv) with xhat = (x - mean) * inv over the last axis."""
-    xhat, _, var = _centre(xd)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat *= inv
-    out = xhat * gd
-    out += bd
-    return out, xhat, inv
-
-
-def _layer_norm_backward(g, gd, xhat, inv):
-    """(gx, ggamma, gbeta) of _layer_norm_forward."""
-    d = xhat.shape[-1]
-    ggamma = (g * xhat).reshape(-1, d).sum(axis=0)
-    gbeta = g.reshape(-1, d).sum(axis=0)
-    return _unnormalize_grad(g * gd, xhat, inv), ggamma, gbeta
-
-
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Tensor:
-    """Normalize the last axis of x to zero mean / unit variance, then scale-shift."""
-    if gamma.shape != (x.shape[-1],) or beta.shape != (x.shape[-1],):
-        raise ShapeError(f"layer_norm scale/shift must have shape ({x.shape[-1]},)")
-    out, xhat, inv = _layer_norm_forward(x.data, gamma.data, beta.data, eps)
-
-    def grad_fn(g):
-        grads = _layer_norm_backward(g, gamma.data, xhat, inv)
-        return tuple(gr if t.requires_grad else None for t, gr in zip((x, gamma, beta), grads))
-
-    return _from_op(out, (x, gamma, beta), grad_fn)

@@ -236,8 +236,12 @@ def test_train_gated_writes_gate_map(gated_artifacts):
         GateConfig(n_heads=2, mode="manual", manual_table={"v0u0": 1}),
         GateConfig(n_heads=2, mode="manual", manual_table={"v=0,u=0": "one"}),
         GateConfig(n_heads=2, mode="manual", manual_table={"v=0,u=0": 1.9}),
+        GateConfig(n_heads=2, mode="manual", manual_table={"v=0,u=0": 1, "v=1,u=0": 2}),
     ],
-    ids=["more_heads_than_states", "bad_manual_key", "bad_manual_head", "fractional_manual_head"],
+    ids=[
+        "more_heads_than_states", "bad_manual_key", "bad_manual_head", "fractional_manual_head",
+        "uncovering_manual_table",
+    ],
 )
 def test_train_gated_gate_failure_exits_1(runner, data_dir, tmp_path, gate, monkeypatch):
     cfg = _micro_run_config()
@@ -553,7 +557,7 @@ def test_eval_badly_typed_gate_map_exits_2_before_any_forward(
     assert not (tmp_path / "r.json").exists()
 
 
-def test_eval_gate_map_must_fit_checkpoint(runner, data_dir, gated_artifacts, tmp_path):
+def test_eval_gate_map_must_fit_checkpoint(runner, data_dir, gated_artifacts, tmp_path, predict_calls):
     ckpt, _ = gated_artifacts
     cfg = load_checkpoint(str(ckpt)).config
     wide = tmp_path / "wide.json"
@@ -568,8 +572,7 @@ def test_eval_gate_map_must_fit_checkpoint(runner, data_dir, gated_artifacts, tm
     assert result.exit_code == 2
     assert "6 heads" in result.stderr
 
-    # right head count, but no table entry for any state: a typed failure at
-    # evaluation time, not a traceback
+    # right head count, but no table entry for any state: refused before any forward
     empty = tmp_path / "empty.json"
     empty.write_text(json.dumps({"n_heads": 2, "table": {}}))
     result = runner.invoke(
@@ -579,8 +582,9 @@ def test_eval_gate_map_must_fit_checkpoint(runner, data_dir, gated_artifacts, tm
             "--report", str(tmp_path / "r.json"),
         ],
     )
-    assert result.exit_code == 1
-    assert "evaluation failed" in result.stderr
+    assert result.exit_code == 2
+    assert "gate table lacks states of the model's 2 x 3 state space: v=0,u=0 v=0,u=1" in result.stderr
+    assert predict_calls == []
 
 
 def test_eval_rejects_mismatched_config(runner, data_dir, backbone_ckpt, tmp_path):

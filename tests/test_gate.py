@@ -215,7 +215,8 @@ def test_n_heads_must_be_a_json_integer_not_truncated(n_heads):
 
 
 def test_check_fits_compares_head_count_and_config_hash():
-    gm = GateMap(n_heads=2, table={(0, 0): 1, (0, 1): 2}, provenance={"config_hash": "a" * 64}).validate()
+    table = {(v, u): 1 + u % 2 for v in range(2) for u in range(3)}  # the micro model's 2 x 3 space
+    gm = GateMap(n_heads=2, table=table, provenance={"config_hash": "a" * 64}).validate()
     model = tiny_model_config("micro", variant="gated", n_heads=2)
     assert gm.check_fits(model, "a" * 64) is gm
     assert gm.check_fits(model) is gm  # no checkpoint hash: nothing to compare
@@ -225,6 +226,13 @@ def test_check_fits_compares_head_count_and_config_hash():
         gm.check_fits(model, "b" * 64)
     del gm.provenance["config_hash"]
     assert gm.check_fits(model, "b" * 64) is gm
+    lacking = GateMap(n_heads=2, table={s: h for s, h in table.items() if s != (1, 2)}).validate()
+    with pytest.raises(GateError, match="gate table lacks states of the model's 2 x 3 state space: v=1,u=2$"):
+        lacking.check_fits(model)
+    outside = GateMap(n_heads=2, table={**table, (2, 0): 1, (0, 3): 2}).validate()
+    outside_msg = "gate table has states outside the model's 2 x 3 state space: v=0,u=3 v=2,u=0$"
+    with pytest.raises(GateError, match=outside_msg):
+        outside.check_fits(model)
 
 
 # ---------------------------------------------------------------- derivation

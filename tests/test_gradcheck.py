@@ -14,7 +14,9 @@ from respox.gradcheck import (
     run_model_suite,
     run_suite,
 )
-from respox.tensor import Tensor, tanh
+from respox.tensor import Tensor
+
+from reference_ops import matmul, tanh
 
 
 def test_relative_error_normalizes_by_magnitude():
@@ -37,7 +39,7 @@ def test_grad_check_accepts_correct_gradient():
     b = Tensor(rng.normal(size=(4, 2)), requires_grad=True, dtype=np.float64)
 
     def fn(a, b):
-        return tanh(a @ b)
+        return tanh(matmul(a, b))
 
     assert grad_check(fn, [a, b]) < 1e-7
 

@@ -1,4 +1,5 @@
-"""The package's import structure: imports at module top only, and no import cycle."""
+"""The package's import structure: imports at module top only, no import cycle,
+and no private name imported across modules but the graph hooks."""
 
 import ast
 from pathlib import Path
@@ -30,6 +31,17 @@ def _package_imports(tree: ast.Module) -> set:
             else:
                 out.add(node.module)
     return out
+
+
+def _private_imports(tree: ast.Module) -> set:
+    """Private names a module imports from another module of this package: `from .x import _y`."""
+    return {
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is not None
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
 
 
 def _import_graph() -> dict:
@@ -84,3 +96,12 @@ def test_package_import_graph_is_acyclic():
 def test_cycle_finder_sees_a_cycle():
     assert _cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}, "d": set()}) == ["a", "b", "c", "a"]
     assert _cycle({"a": {"b"}, "b": set(), "c": {"a", "b"}}) is None
+
+
+def test_private_names_cross_modules_only_as_the_graph_hooks():
+    # every op builds its graph node through tensor's two hooks; any other
+    # private helper belongs to the one module that runs it
+    hooks = {"tensor._from_op", "tensor._builds_graph"}
+    crossing = {module: _private_imports(_tree(module)) - hooks for module in MODULES}
+    assert not any(crossing.values()), f"private names imported across modules: {crossing}"
+    assert _private_imports(ast.parse("from .tensor import Tensor, _centre")) == {"tensor._centre"}

@@ -150,10 +150,13 @@ def test_variant_output_lengths(variant, decoded_heads):
         if variant == "gated" else None
     pred = forward(params, cfg, x, v=v, gate_map=gate_map, mode="eval")
     assert pred.y_hat.shape == (duration,)
-    if variant in ("varaug", "gated"):
+    if variant == "gated":
         assert pred.u_logits.shape == (3, duration)
     else:
-        assert pred.u_logits is None
+        assert pred.u_logits is None  # nothing reads a varaug stage head in eval
+    if variant == "varaug":
+        train = forward(params, cfg, x, v=v, mode="train", rng=np.random.default_rng(0))
+        assert train.u_logits.shape == (3, duration)
     if variant == "gated":
         assert len(decoded_heads) == len(np.unique(pred.gate_series))
         assert pred.gate_series.shape == (duration,)
